@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"kgexplore"
 	"kgexplore/internal/dist"
 	"kgexplore/internal/exec"
 	"kgexplore/internal/index"
@@ -204,25 +205,30 @@ func runDistBench(w io.Writer, outPath string, scale float64, seed, walks int64,
 	if err != nil {
 		return err
 	}
-	pl, exact := shardChainPlan(g, index.Build(g))
+	st := index.Build(g)
+	pl, exact := shardChainPlan(g, st)
 	if pl == nil {
 		return fmt.Errorf("distbench: no chain plan with a non-empty answer at scale %g", scale)
 	}
-	part, err := shard.PartitionerByName("")
+	ds, err := kgexplore.FromStore(st, kgexplore.RootThing)
 	if err != nil {
 		return err
 	}
-	set, err := shard.Build(g, shards, part)
+	sds, err := ds.BuildSharded(shards, "")
 	if err != nil {
 		return err
 	}
+	// One walk order for both sides, chosen from the set-level statistics:
+	// the fleet's coordinator would otherwise plan from its copy of shard 0,
+	// and the comparison below is only the wire if both run the same plan.
+	pl = sds.PlanWalk(pl)
 	dir, err := os.MkdirTemp("", "kgdistbench")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	manifest := filepath.Join(dir, "set.kgm")
-	if _, err := shard.WriteSet(manifest, set, cfg.Name); err != nil {
+	if _, err := sds.WriteShardedSnapshots(manifest, cfg.Name); err != nil {
 		return err
 	}
 
@@ -243,7 +249,7 @@ func runDistBench(w io.Writer, outPath string, scale float64, seed, walks int64,
 
 	// In-process baseline: same set, same plan, same seed.
 	start := time.Now()
-	res, _, err := shard.RunScatter(context.Background(), set, pl,
+	res, _, err := sds.RunScatter(context.Background(), pl,
 		shard.ScatterOptions{Seed: seed}, exec.Options{MaxWalks: walks, Batch: 256})
 	if err != nil {
 		return err
@@ -256,7 +262,7 @@ func runDistBench(w io.Writer, outPath string, scale float64, seed, walks int64,
 	}
 	base.WalksPerSec = float64(base.Walks) / (float64(base.ElapsedNs) / 1e9)
 	base.WalksToTargetCI, err = walksToTargetCI(func(xopts exec.Options) (wj.Result, error) {
-		r, _, err := shard.RunScatter(context.Background(), set, pl,
+		r, _, err := sds.RunScatter(context.Background(), pl,
 			shard.ScatterOptions{Seed: seed}, xopts)
 		return r, err
 	}, targetCI)
@@ -330,13 +336,14 @@ func runDistFleet(bin, manifest string, shards, n int, pl *query.Plan, exact map
 		procs = append(procs, p)
 		addrs = append(addrs, p.addr)
 	}
-	co, err := dist.Dial(context.Background(), addrs)
+	dds, err := kgexplore.DialDistDataset(context.Background(), manifest, addrs)
 	if err != nil {
 		return row, err
 	}
+	defer dds.Close()
 
 	start := time.Now()
-	res, rstats, err := co.Run(context.Background(), pl.Query,
+	res, rstats, err := dds.RunDist(context.Background(), pl,
 		dist.RunOptions{Seed: seed}, exec.Options{MaxWalks: walks, Batch: 256})
 	if err != nil {
 		return row, err
@@ -350,7 +357,7 @@ func runDistFleet(bin, manifest string, shards, n int, pl *query.Plan, exact map
 	row.Retries = rstats.Retries
 
 	row.WalksToTargetCI, err = walksToTargetCI(func(xopts exec.Options) (wj.Result, error) {
-		r, _, err := co.Run(context.Background(), pl.Query, dist.RunOptions{Seed: seed}, xopts)
+		r, _, err := dds.RunDist(context.Background(), pl, dist.RunOptions{Seed: seed}, xopts)
 		return r, err
 	}, targetCI)
 	return row, err

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 
+	"kgexplore"
 	"kgexplore/internal/card"
 	"kgexplore/internal/core"
 	"kgexplore/internal/ctj"
@@ -83,11 +84,12 @@ func estMedian(xs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// estWalksToCI steps an Audit Join runner until every group's CI half-width
-// is within rel of its estimate (tipped-exact groups report CI 0), returning
-// the walk count; 0 when maxWalks walks were not enough.
-func estWalksToCI(st *index.Store, pl *query.Plan, est card.Estimator, seed int64, rel float64, maxWalks int64) int64 {
-	r := core.New(st, pl, core.Options{Threshold: core.DefaultThreshold, Seed: seed, Estimator: est})
+// estWalksToCI steps an Audit Join runner — built through the facade, so in
+// the walk order the serving path would choose — until every group's CI
+// half-width is within rel of its estimate (tipped-exact groups report CI 0),
+// returning the walk count; 0 when maxWalks walks were not enough.
+func estWalksToCI(ds *kgexplore.Dataset, pl *query.Plan, est card.Estimator, seed int64, rel float64, maxWalks int64) int64 {
+	r := ds.NewAuditJoin(pl, kgexplore.AuditJoinOptions{Threshold: core.DefaultThreshold, Seed: seed, Estimator: est})
 	const batch = 64
 	for r.Walks() < maxWalks {
 		for i := 0; i < batch; i++ {
@@ -124,6 +126,10 @@ func runEstBench(w io.Writer, outPath string, scale float64, seed int64, paths i
 		return err
 	}
 	st := index.Build(g)
+	ds, err := kgexplore.FromStore(st, kgexplore.RootThing)
+	if err != nil {
+		return err
+	}
 	gen := &workload.Generator{Store: st, Schema: schema, Seed: seed, MaxSteps: 4}
 	recs := gen.Paths(paths)
 
@@ -159,8 +165,8 @@ func runEstBench(w io.Writer, outPath string, scale float64, seed int64, paths i
 		}
 		row.SpanQError = estQErr(row.SpanEstimate, exact)
 		row.SummaryQError = estQErr(row.SummaryEstimate, exact)
-		row.SpanWalks = estWalksToCI(st, r.Plan, span, seed, relCI, maxWalks)
-		row.SummaryWalks = estWalksToCI(st, r.Plan, summary, seed, relCI, maxWalks)
+		row.SpanWalks = estWalksToCI(ds, r.Plan, span, seed, relCI, maxWalks)
+		row.SummaryWalks = estWalksToCI(ds, r.Plan, summary, seed, relCI, maxWalks)
 		report.Queries = append(report.Queries, row)
 		if row.Patterns < 2 {
 			continue

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"kgexplore"
 	"kgexplore/internal/core"
 	"kgexplore/internal/ctj"
 	"kgexplore/internal/exec"
@@ -127,6 +128,10 @@ func runParallelBench(w io.Writer, outPath string, scale float64, seed, walksPer
 		return err
 	}
 	st := index.Build(g)
+	ds, err := kgexplore.FromStore(st, kgexplore.RootThing)
+	if err != nil {
+		return err
+	}
 
 	gen := &workload.Generator{Store: st, Schema: schema, Seed: seed, MaxSteps: 4}
 	recs := gen.Paths(4)
@@ -168,7 +173,7 @@ func runParallelBench(w io.Writer, outPath string, scale float64, seed, walksPer
 				Seed:          seed,
 				NoSharedCache: !shared,
 			}
-			res, ps, err := core.RunParallelStats(context.Background(), st, pl, opts, workers,
+			res, ps, err := ds.RunAuditJoinParallel(context.Background(), pl, opts, workers,
 				exec.Options{MaxWalks: walksPerWorker})
 			if err != nil {
 				// No context or budget in play: a failure here is a bug.

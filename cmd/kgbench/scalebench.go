@@ -322,6 +322,9 @@ func runScaleBench(w io.Writer, outPath, rungSpec string, seed int64, memBudgetM
 			return fmt.Errorf("scalebench: rung %g exact drifted: ctj %v, analytic %v", scale, got, rung.Exact)
 		}
 
+		// The ladder studies stratifying the hub-skewed knows root, so both
+		// strategies run the plan as written through the internal
+		// constructors rather than in the order the facade would choose.
 		rung.Uniform = runStrategy(func(s int64) ladderStepper {
 			return core.New(st, pl, core.Options{Threshold: -1, Seed: s})
 		}, rung.Exact, seed)

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"kgexplore"
 	"kgexplore/internal/exec"
 	"kgexplore/internal/index"
 	"kgexplore/internal/kggen"
@@ -115,9 +116,14 @@ func runShardBench(w io.Writer, outPath string, scale float64, seed, walks int64
 	if err != nil {
 		return err
 	}
-	pl, exact := shardChainPlan(g, index.Build(g))
+	st := index.Build(g)
+	pl, exact := shardChainPlan(g, st)
 	if pl == nil {
 		return fmt.Errorf("shardbench: no chain plan with a non-empty answer at scale %g", scale)
+	}
+	ds, err := kgexplore.FromStore(st, kgexplore.RootThing)
+	if err != nil {
+		return err
 	}
 
 	report := shardBenchReport{
@@ -130,22 +136,20 @@ func runShardBench(w io.Writer, outPath string, scale float64, seed, walks int64
 		GoVersion:  runtime.Version(),
 	}
 
-	part, err := shard.PartitionerByName("")
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "shardbench: %s scale %g, %d triples, %d total walks, %d groups exact\n",
 		cfg.Name, scale, g.Len(), walks, len(exact))
 	for _, k := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		set, err := shard.Build(g, k, part)
+		sds, err := ds.BuildSharded(k, "")
 		if err != nil {
 			return err
 		}
 		row := shardBenchRow{Shards: k, BuildNs: time.Since(start).Nanoseconds()}
 
+		// Through the facade, so the scatter walks the order the serving
+		// path would choose.
 		start = time.Now()
-		res, sstats, err := shard.RunScatter(context.Background(), set, pl,
+		res, sstats, err := sds.RunScatter(context.Background(), pl,
 			shard.ScatterOptions{Seed: seed},
 			exec.Options{MaxWalks: walks, Batch: 256})
 		if err != nil {

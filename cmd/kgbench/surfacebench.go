@@ -8,9 +8,8 @@ import (
 	"os"
 	"runtime"
 
-	"kgexplore/internal/card"
+	"kgexplore"
 	"kgexplore/internal/core"
-	"kgexplore/internal/exec"
 	"kgexplore/internal/index"
 	"kgexplore/internal/kggen"
 	"kgexplore/internal/wj"
@@ -119,6 +118,10 @@ func runSurfaceBench(w io.Writer, outPath string, scale float64, seed int64, n i
 		return err
 	}
 	st := index.Build(g)
+	ds, err := kgexplore.FromStore(st, kgexplore.RootThing)
+	if err != nil {
+		return err
+	}
 	gen := &workload.Generator{Store: st, Schema: schema, Seed: seed, MaxSteps: 3}
 	recs := gen.Surface(n)
 	if len(recs) == 0 {
@@ -138,7 +141,6 @@ func runSurfaceBench(w io.Writer, outPath string, scale float64, seed int64, n i
 		GoVersion:  runtime.Version(),
 	}
 
-	span := card.NewSpanStats(st)
 	var relByKind = map[workload.SurfaceKind][]float64{}
 	var walksAll []float64
 	equivalenceOK := true
@@ -159,24 +161,15 @@ func runSurfaceBench(w io.Writer, outPath string, scale float64, seed int64, n i
 				row.Patterns += len(pl.Steps)
 			}
 			if !r.Distinct() {
-				branches := make([]exec.AccStepper, len(r.UnionPlan.Plans))
-				weights := make([]float64, len(r.UnionPlan.Plans))
-				for i, pl := range r.UnionPlan.Plans {
-					branches[i] = core.New(st, pl, core.Options{
-						Threshold: core.DefaultThreshold,
-						Seed:      seed + int64(i)*1_000_003,
-						Estimator: span,
-					})
-					weights[i] = span.JoinSize(pl).Value
+				if stepper, err = ds.NewUnionEstimator(r.UnionPlan, seed); err != nil {
+					return err
 				}
-				stepper = exec.NewUnion(branches, weights)
 			}
 		} else {
 			row.Patterns = len(r.Plan.Steps)
-			stepper = core.New(st, r.Plan, core.Options{
+			stepper = ds.NewAuditJoin(r.Plan, kgexplore.AuditJoinOptions{
 				Threshold: core.DefaultThreshold,
 				Seed:      seed,
-				Estimator: span,
 			})
 		}
 

@@ -138,11 +138,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		dir, err := liveCompactDir(*liveDir)
+		if err != nil {
+			fatal(err)
+		}
 		prov.Kind = "live"
 		prov.Triples = lds.NumTriples() // WAL replay may have grown it
 		prov.LoadMillis = time.Since(start).Milliseconds()
 		srv = server.NewLive(lds, prov)
-		go compactLoop(srv, lds, *liveDir, *compactEvery, *compactMin)
+		go compactLoop(srv, lds, dir, *compactEvery, *compactMin)
 	} else if *shards > 0 {
 		sds, err := ds.BuildSharded(*shards, *partitioner)
 		if err != nil {
@@ -260,14 +264,6 @@ func serveDist(manifest, workers, addr, estimator, strategy string, adminOn, ppr
 // removes the previous compaction's file. Ingest and serving never block on
 // it. Errors are logged and surfaced in /healthz (lastError).
 func compactLoop(srv *server.Server, lds *kgexplore.LiveDataset, dir string, every time.Duration, minOverlay int) {
-	if dir == "" {
-		d, err := os.MkdirTemp("", "kgserver-live-")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kgserver: live compactor disabled: %v\n", err)
-			return
-		}
-		dir = d
-	}
 	if every <= 0 {
 		every = 30 * time.Second
 	}
@@ -296,6 +292,25 @@ func compactLoop(srv *server.Server, lds *kgexplore.LiveDataset, dir string, eve
 		fmt.Fprintf(os.Stderr, "kgserver: compacted to %s in %dms (%d residual adds, %d residual tombstones)\n",
 			path, res.Millis, res.ResidualAdds, res.ResidualTombs)
 	}
+}
+
+// liveCompactDir resolves the directory compaction snapshots are written to,
+// creating it at start-up: a missing -livedir would otherwise fail every
+// compaction on its final rename, with nothing but a log line to say so while
+// the overlay grows without bound. An empty dir selects a fresh temp
+// directory.
+func liveCompactDir(dir string) (string, error) {
+	if dir == "" {
+		d, err := os.MkdirTemp("", "kgserver-live-")
+		if err != nil {
+			return "", fmt.Errorf("creating a temp directory for live compaction snapshots: %w", err)
+		}
+		return d, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("creating -livedir: %w", err)
+	}
+	return dir, nil
 }
 
 func fatal(err error) {

@@ -179,17 +179,29 @@ func (d *DistDataset) EstimatorName() string {
 	return EstimatorSpan
 }
 
+// PlanWalk is Dataset.PlanWalk for the fleet, with ShardedDataset.PlanWalk's
+// rule for COUNT(DISTINCT) (the translation root stays, since the workers
+// read ownership off it). The coordinator plans once, from the statistics of
+// its local copy of shard 0 — subject-hash partitioning makes one shard a
+// uniform sample of every pattern's matches, so pattern cardinalities keep
+// their ranking — and ships the chosen order; workers compile what they
+// receive instead of each choosing from its own shard.
+func (d *DistDataset) PlanWalk(pl *Plan) *Plan {
+	return query.ChooseOrder(pl, card.NewSpanStats(d.local.Store), pl.Query.Distinct)
+}
+
 // RunDist executes one distributed scatter-gather Audit Join over the
-// fleet, with shard.RunScatter's contract: xopts.MaxWalks is the total walk
-// budget split across strata proportionally to root cardinality,
-// progressive snapshots merge all strata through xopts.OnSnapshot, and the
-// final CIs merge with stratified variance. On worker loss the lost stratum
-// re-runs on a survivor (see DistRunStats.Reallocations).
+// fleet, in the walk order PlanWalk chooses, with shard.RunScatter's
+// contract: xopts.MaxWalks is the total walk budget split across strata
+// proportionally to root cardinality, progressive snapshots merge all
+// strata through xopts.OnSnapshot, and the final CIs merge with stratified
+// variance. On worker loss the lost stratum re-runs on a survivor (see
+// DistRunStats.Reallocations).
 func (d *DistDataset) RunDist(ctx context.Context, pl *Plan, opts DistRunOptions, xopts DriveOptions) (EstimateResult, DistRunStats, error) {
 	if opts.Estimator == "" {
 		opts.Estimator = d.estimator
 	}
-	return d.co.Run(ctx, pl.Query, opts, xopts)
+	return d.co.Run(ctx, d.PlanWalk(pl).Query, opts, xopts)
 }
 
 // CompileUnion validates and plans every branch of a union.
@@ -239,7 +251,7 @@ func (d *DistDataset) RunUnionDist(ctx context.Context, up *UnionPlan, opts Dist
 			ropts.Estimator = d.estimator
 		}
 		ropts.Seed = opts.Seed + int64(i)*1_000_003
-		res, st, err := d.co.Run(ctx, pl.Query, ropts, bopts)
+		res, st, err := d.co.Run(ctx, d.PlanWalk(pl).Query, ropts, bopts)
 		if err != nil {
 			return EstimateResult{}, stats, err
 		}

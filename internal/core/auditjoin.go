@@ -87,16 +87,10 @@ type Runner struct {
 	// constant-bound steps; together they keep Step allocation-free.
 	b      query.Bindings
 	static []query.StaticSpan
-	// perGroup and perGroupND are finish-time aggregation scratch, reused
-	// across walks.
-	perGroup   map[rdf.ID]float64
-	perGroupND map[rdf.ID]numDen
 
 	tipped int64 // walks that ended in a partial exact computation
 	diag   TipDiag
 }
-
-type numDen struct{ num, den float64 }
 
 // New creates a Runner. A non-positive Threshold in opts is kept as given
 // (zero disables tipping except on empty suffixes).
@@ -117,17 +111,15 @@ func New(store *index.Store, pl *query.Plan, opts Options) *Runner {
 		eval.SetEstimator(opts.Estimator)
 	}
 	return &Runner{
-		store:      store,
-		pl:         pl,
-		opts:       opts,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
-		acc:        wj.NewAcc(),
-		eval:       eval,
-		oracle:     oracle,
-		b:          pl.NewBindings(),
-		static:     pl.ResolveStatic(store),
-		perGroup:   make(map[rdf.ID]float64),
-		perGroupND: make(map[rdf.ID]numDen),
+		store:  store,
+		pl:     pl,
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(opts.Seed)),
+		acc:    wj.NewAcc(),
+		eval:   eval,
+		oracle: oracle,
+		b:      pl.NewBindings(),
+		static: pl.ResolveStatic(store),
 	}
 }
 
@@ -182,78 +174,47 @@ func (r *Runner) Step() {
 }
 
 // finish terminates a walk at prefix δ ending after step i: it aggregates
-// the completions of δ exactly (via the cached CTJ suffix aggregate; for a
-// full path this is the path itself) and updates the estimator. When the
-// walk tipped, the oracle's estimate is scored against the exact suffix
-// size the aggregate reveals for free.
+// the completions of δ exactly (via the cached CTJ suffix aggregate and its
+// memoized reduction; for a full path this is the path itself) and updates
+// the estimator.
 func (r *Runner) finish(i int, b query.Bindings, prodD, tipEst float64, tipped bool) {
-	agg := r.eval.SuffixAgg(i, b)
+	Finish(r.acc, &r.diag, r.pl.Query, r.eval.SuffixReduced(i, b), prodD, tipEst, tipped)
+}
+
+// Finish credits one exactly finished walk to acc from the reduced suffix
+// aggregate of its prefix δ, with prodD = ∏ d_j = 1/Pr(δ). It is the
+// accumulator update shared by every Audit Join walker (single-store,
+// sharded, live). When the walk tipped, the oracle's estimate is scored
+// against the exact suffix size the aggregate reveals for free.
+//
+//	COUNT            C_a += |Γ_δ with α=a| × ∏ d_j
+//	SUM              C_a += Σ_b v(b)·|Γ_δ with (a,b)| × ∏ d_j — the same
+//	                 unbiasedness argument as Prop. IV.1 with paths weighted
+//	                 by v(β(γ))
+//	AVG              the ratio of two such estimators: the weighted sum over
+//	                 numeric-β paths divided by their count
+//	COUNT(DISTINCT)  C_a += Σ_b Pr(δ,(a,b)) / (Pr(δ)·Pr(a,b)); the reduction
+//	                 already holds it, the prefix probability having cancelled
+func Finish(acc *wj.Acc, diag *TipDiag, q *query.Query, red *ctj.Reduced, prodD, tipEst float64, tipped bool) {
 	if tipped {
-		var actual float64
-		for _, e := range agg {
-			actual += float64(e.N)
-		}
-		r.diag.Observe(tipEst, actual)
+		diag.Observe(tipEst, float64(red.Total))
 	}
-	if len(agg) == 0 {
-		r.acc.Rejected++
+	if red.Total == 0 {
+		acc.Rejected++
 		return
 	}
-	if r.pl.Query.Distinct {
-		// C_a += Σ_b Pr(δ,(a,b)) / (Pr(δ)·Pr(a,b)); the entry's P is
-		// Pr(δ,(a,b))/Pr(δ), so the prefix probability cancels.
-		perGroup := r.perGroup
-		clear(perGroup)
-		for _, e := range agg {
-			pab := r.eval.PathProbAB(e.A, e.B)
-			if pab > 0 {
-				perGroup[e.A] += e.P / pab
-			}
+	switch {
+	case q.Distinct:
+		for _, t := range red.Terms {
+			acc.Add(t.A, t.Num)
 		}
-		for a, x := range perGroup {
-			r.acc.Add(a, x)
-		}
-		return
-	}
-	switch r.pl.Query.Agg {
-	case query.AggSum:
-		// C_a += Σ_b v(b) · |Γ_δ with (a,b)| × ∏ d_j — the same unbiasedness
-		// argument as Prop. IV.1 with paths weighted by v(β(γ)).
-		perGroup := r.perGroup
-		clear(perGroup)
-		for _, e := range agg {
-			if v, ok := r.store.Numeric(e.B); ok {
-				perGroup[e.A] += v * float64(e.N) * prodD
-			}
-		}
-		for a, x := range perGroup {
-			r.acc.Add(a, x)
-		}
-	case query.AggAvg:
-		// Ratio of two unbiased estimators: weighted sum over numeric-β
-		// paths divided by their count.
-		perGroup := r.perGroupND
-		clear(perGroup)
-		for _, e := range agg {
-			if v, ok := r.store.Numeric(e.B); ok {
-				cur := perGroup[e.A]
-				cur.num += v * float64(e.N) * prodD
-				cur.den += float64(e.N) * prodD
-				perGroup[e.A] = cur
-			}
-		}
-		for a, x := range perGroup {
-			r.acc.AddRatio(a, x.num, x.den)
+	case q.Agg == query.AggAvg:
+		for _, t := range red.Terms {
+			acc.AddRatio(t.A, t.Num*prodD, t.Den*prodD)
 		}
 	default:
-		// C_a += |Γ_δ with α=a| × ∏ d_j.
-		perGroup := r.perGroup
-		clear(perGroup)
-		for _, e := range agg {
-			perGroup[e.A] += float64(e.N) * prodD
-		}
-		for a, x := range perGroup {
-			r.acc.Add(a, x)
+		for _, t := range red.Terms {
+			acc.Add(t.A, t.Num*prodD)
 		}
 	}
 }

@@ -76,7 +76,7 @@ type Evaluator struct {
 	lastUse []int
 
 	countCache map[ckey]int64
-	aggCache   map[ckey][]SuffixGroup
+	aggCache   map[ckey]*aggEntry
 	existCache map[ckey]bool
 	// probCache maps probKey(a, b) -> Pr(a,b); b-only entries live under
 	// probKey(NoID, b). The packed uint64 key hits the runtime's fast64
@@ -126,7 +126,7 @@ func New(store *index.Store, pl *query.Plan) *Evaluator {
 		pl:         pl,
 		lastUse:    make([]int, pl.NumVars()),
 		countCache: make(map[ckey]int64),
-		aggCache:   make(map[ckey][]SuffixGroup),
+		aggCache:   make(map[ckey]*aggEntry),
 		existCache: make(map[ckey]bool),
 		probCache:  make(map[uint64]float64),
 	}

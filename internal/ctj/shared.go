@@ -28,7 +28,7 @@ import (
 type SharedCache struct {
 	count [numShards]shard[ckey, int64]
 	exist [numShards]shard[ckey, bool]
-	agg   [numShards]shard[ckey, []SuffixGroup]
+	agg   [numShards]shard[ckey, *aggEntry]
 	prob  [numShards]shard[uint64, float64]
 
 	// probMat, once non-nil, holds every reachable Pr(b) and Pr(a,b); readers
@@ -190,9 +190,9 @@ func (e *Evaluator) sharedExists(k ckey, j int, b query.Bindings) bool {
 	return ent.val
 }
 
-// sharedSuffixAgg is the shared-cache arm of SuffixAgg. The published slice
-// is immutable after close; consumers must not mutate it.
-func (e *Evaluator) sharedSuffixAgg(k ckey, i int, b query.Bindings) []SuffixGroup {
+// sharedSuffixAgg is the shared-cache arm of suffixEntry. The published
+// aggregate is immutable after close; consumers must not mutate it.
+func (e *Evaluator) sharedSuffixAgg(k ckey, i int, b query.Bindings) *aggEntry {
 	sc := e.shared
 	sh := &sc.agg[shardIdx(k.hash())]
 	ent, existed := sh.lookupOrClaim(k)
@@ -204,7 +204,7 @@ func (e *Evaluator) sharedSuffixAgg(k ckey, i int, b query.Bindings) []SuffixGro
 	}
 	e.stats.AggMisses++
 	sc.stats.aggMisses.Add(1)
-	ent.val = e.computeSuffixAgg(i, b)
+	ent.val = &aggEntry{agg: e.computeSuffixAgg(i, b)}
 	close(ent.done)
 	return ent.val
 }

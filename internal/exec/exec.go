@@ -52,7 +52,10 @@ type Options struct {
 	// cancellation latency to one batch of walks. Zero means DefaultBatch.
 	Batch int
 	// OnSnapshot, when non-nil, receives a progressive snapshot at each
-	// interval and one final snapshot (Final=true) on normal completion.
+	// interval and always exactly one final snapshot (Final=true), last, on
+	// normal completion. Walk counts strictly increase from one progressive
+	// snapshot to the next; the final one repeats the last count in the rare
+	// run whose budget ran out while that snapshot was being delivered.
 	// Returning false stops the drive early (with a nil error). The callback
 	// runs on the driving goroutine.
 	OnSnapshot func(Progress) bool
@@ -113,41 +116,36 @@ func Drive(ctx context.Context, s Stepper, opts Options) (Report, error) {
 	if opts.Interval > 0 && opts.OnSnapshot != nil {
 		nextEmit = start.Add(opts.Interval)
 	}
-	var lastEmitWalks int64 = -1
 	emit := func(final bool) bool {
 		if opts.OnSnapshot == nil {
 			return true
 		}
-		walks := s.Walks() - startWalks
-		if final && walks == lastEmitWalks {
-			return true // nothing new since the last interval snapshot
-		}
-		lastEmitWalks = walks
 		rep.Snapshots++
 		return opts.OnSnapshot(Progress{
 			Seq:      rep.Snapshots,
 			Elapsed:  time.Since(start),
-			Walks:    walks,
+			Walks:    s.Walks() - startWalks,
 			Snapshot: s.Snapshot(),
 			Final:    final,
 		})
+	}
+	// ended reports that the run is over at time now: the budget elapsed or
+	// the walk cap was reached.
+	ended := func(now time.Time) bool {
+		return (!deadline.IsZero() && !now.Before(deadline)) ||
+			(opts.MaxWalks > 0 && s.Walks()-startWalks >= opts.MaxWalks)
 	}
 
 	for {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		now := time.Now()
-		if !deadline.IsZero() && !now.Before(deadline) {
-			break
-		}
-		done := s.Walks() - startWalks
-		if opts.MaxWalks > 0 && done >= opts.MaxWalks {
+		if ended(time.Now()) {
 			break
 		}
 		n := batch
 		if opts.MaxWalks > 0 {
-			if rem := opts.MaxWalks - done; rem < int64(n) {
+			if rem := opts.MaxWalks - (s.Walks() - startWalks); rem < int64(n) {
 				n = int(rem)
 			}
 		}
@@ -155,7 +153,10 @@ func Drive(ctx context.Context, s Stepper, opts Options) (Report, error) {
 			s.Step()
 		}
 		if !nextEmit.IsZero() {
-			if now = time.Now(); !now.Before(nextEmit) {
+			// An interval snapshot that falls due as the run ends is left to
+			// the final emit below: the stream's last event is always the one
+			// marked Final, without a copy of itself just before it.
+			if now := time.Now(); !now.Before(nextEmit) && !ended(now) {
 				if !emit(false) {
 					return finish(nil)
 				}

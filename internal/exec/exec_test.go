@@ -135,25 +135,61 @@ func TestDriveFinalSnapshotWithoutInterval(t *testing.T) {
 }
 
 func TestDriveFinalSnapshotNotDuplicated(t *testing.T) {
-	// When the last interval snapshot already covered every walk, the final
-	// emit is suppressed so streamed walk counts stay strictly increasing.
+	// An interval snapshot falling due on the batch that ends the run is
+	// delivered as the final one, so streamed walk counts stay strictly
+	// increasing and the last event carries the Final flag.
 	f := &fakeStepper{}
 	var walks []int64
+	var finals []bool
 	_, err := Drive(context.Background(), f, Options{
 		MaxWalks: 100,
 		Interval: time.Nanosecond, // emit after every batch
 		Batch:    50,
 		OnSnapshot: func(p Progress) bool {
 			walks = append(walks, p.Walks)
+			finals = append(finals, p.Final)
 			return true
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(walks); i++ {
-		if walks[i] <= walks[i-1] {
-			t.Errorf("duplicate or regressing snapshot walks: %v", walks)
+	if len(walks) != 2 || walks[0] != 50 || walks[1] != 100 || finals[0] || !finals[1] {
+		t.Errorf("snapshots walks %v finals %v, want [50 100] with only the last final", walks, finals)
+	}
+}
+
+func TestDriveAlwaysDeliversFinal(t *testing.T) {
+	// Budget = 2·Interval is the shape that used to lose the Final flag: the
+	// second interval snapshot fell due as the budget elapsed, covered every
+	// walk, and suppressed the final emit. Every stream must end with exactly
+	// one Final event, whatever the timing.
+	for trial := 0; trial < 20; trial++ {
+		f := &fakeStepper{delay: 10 * time.Microsecond}
+		var finals []bool
+		rep, err := Drive(context.Background(), f, Options{
+			Budget:   4 * time.Millisecond,
+			Interval: 2 * time.Millisecond,
+			Batch:    8,
+			OnSnapshot: func(p Progress) bool {
+				finals = append(finals, p.Final)
+				return true
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(finals)
+		if n == 0 || !finals[n-1] {
+			t.Fatalf("trial %d: stream %v does not end with a Final event", trial, finals)
+		}
+		for _, fin := range finals[:n-1] {
+			if fin {
+				t.Fatalf("trial %d: Final before the last event: %v", trial, finals)
+			}
+		}
+		if rep.Snapshots != n {
+			t.Errorf("trial %d: Report.Snapshots = %d, callback saw %d", trial, rep.Snapshots, n)
 		}
 	}
 }

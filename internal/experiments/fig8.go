@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kgexplore/internal/baseline"
+	"kgexplore/internal/card"
 	"kgexplore/internal/core"
 	"kgexplore/internal/ctj"
 	"kgexplore/internal/explore"
@@ -26,6 +27,11 @@ type Fig8Row struct {
 	BaselineErr  error // the baseline may exceed its row limit
 	CTJTime      time.Duration
 	WJ, AJ       []SeriesPoint
+	// AJOrder is the walk order the truth-oracle protocol (bestOrder) picked
+	// for Audit Join and OptOrder the one the statistics-only optimizer the
+	// serving path uses (query.ChooseOrder) would pick, both as positions in
+	// the translated query's pattern list.
+	AJOrder, OptOrder []int
 }
 
 // Fig8 runs the six selected queries: for each dataset, the out-property
@@ -184,7 +190,24 @@ func runFig8Query(d *Dataset, sq selectedQuery, cfg Config, seed int64) (Fig8Row
 	ajPlan := bestAJOrder(d.Store, pl, exact, cfg.OrderTrials, cfg.Threshold, cfg.Seed+seed)
 	ajr := core.New(d.Store, ajPlan, core.Options{Threshold: cfg.Threshold, Seed: cfg.Seed + seed})
 	row.AJ = runSeries(ajr, exact, cfg.Budget, cfg.Interval)
+	row.AJOrder = orderOf(sq.q, ajPlan)
+	row.OptOrder = query.ChooseOrder(pl, card.NewSpanStats(d.Store), false).Order
 	return row, nil
+}
+
+// orderOf reports pl's walk order as positions in q's pattern list.
+func orderOf(q *query.Query, pl *query.Plan) []int {
+	ord := make([]int, len(pl.Steps))
+	used := make([]bool, len(q.Patterns))
+	for i := range pl.Steps {
+		for j, p := range q.Patterns {
+			if !used[j] && p == pl.Steps[i].Pattern {
+				ord[i], used[j] = j, true
+				break
+			}
+		}
+	}
+	return ord
 }
 
 func printFig8Row(w io.Writer, row Fig8Row) {
@@ -195,6 +218,7 @@ func printFig8Row(w io.Writer, row Fig8Row) {
 		fmt.Fprintf(w, "  baseline: %v\n", row.BaselineTime.Round(time.Microsecond))
 	}
 	fmt.Fprintf(w, "  ctj:      %v\n", row.CTJTime.Round(time.Microsecond))
+	fmt.Fprintf(w, "  AJ walk order: %v best by trial MAE, %v by the optimizer\n", row.AJOrder, row.OptOrder)
 	fmt.Fprintf(w, "  %-10s %12s %12s %12s %12s\n", "t", "WJ MAE", "WJ relCI", "AJ MAE", "AJ relCI")
 	// Wall-clock-driven snapshots: the two engines' series can differ in
 	// length by a point, so print the paired prefix.

@@ -69,8 +69,8 @@ func (s *Store) Compact(path string, o snap.ExtBuildOptions) (CompactResult, err
 }
 
 // CompactInMemory folds the current view into a freshly built in-memory
-// index.Store and adopts it — the dynamic shim's rebuild (and a test
-// convenience). The write path of ingest never calls this.
+// index.Store and adopts it — the no-disk variant for tests and benchmarks.
+// The write path of ingest never calls this.
 func (s *Store) CompactInMemory() (*index.Store, CompactResult, error) {
 	v, err := s.beginCompact()
 	if err != nil {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"kgexplore/internal/card"
 	"kgexplore/internal/index"
 	"kgexplore/internal/rdf"
 )
@@ -94,7 +95,7 @@ func (v *View) IndexBytes() int64 {
 // Triples streams the live triple set: the base in SPO order with
 // tombstones skipped, then the delta adds. This is the compaction feed
 // (snap.BuildExternal sorts and deduplicates downstream, so emission order
-// does not matter) and the materialization path of the dynamic shim.
+// does not matter).
 func (v *View) Triples(emit func(rdf.Triple) error) error {
 	full := v.base.FullSpan(index.SPO)
 	for i := 0; i < full.Len(); i++ {
@@ -117,11 +118,13 @@ func (v *View) Triples(emit func(rdf.Triple) error) error {
 	return nil
 }
 
-// stores returns the non-nil layer stores, base first — the scope the
-// span-statistics estimator sums over.
-func (v *View) stores() []*index.Store {
+// SpanStats returns span statistics summed over the view's layers (base
+// including tombstoned triples, plus delta) — the merged widths the walker
+// samples from, and the default estimator of everything planned or tipped
+// over a view.
+func (v *View) SpanStats() *card.SpanStats {
 	if v.delta == nil {
-		return []*index.Store{v.base}
+		return card.NewSpanStats(v.base)
 	}
-	return []*index.Store{v.base, v.delta}
+	return card.NewSpanStats(v.base, v.delta)
 }

@@ -6,6 +6,7 @@ import (
 
 	"kgexplore/internal/card"
 	"kgexplore/internal/core"
+	"kgexplore/internal/ctj"
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/stats"
@@ -63,19 +64,14 @@ type Walker struct {
 	// iface[i] lists the interface variables of boundary i (ctj's
 	// cache-key discipline): bound before i, used at or after i.
 	iface [][]query.Var
-	cache map[aggKey][]suffixEntry
+	cache map[aggKey]*ctj.Reduced
 
 	rootSpan spanPair
 	rootLen  int
 
-	perGroup   map[rdf.ID]float64
-	perGroupND map[rdf.ID]numDen
-
 	tipped int64
 	diag   core.TipDiag
 }
-
-type numDen struct{ num, den float64 }
 
 // maxIfaceVals bounds the fixed-size suffix cache key; walks whose
 // interface does not fit compute uncached.
@@ -84,11 +80,6 @@ const maxIfaceVals = 8
 type aggKey struct {
 	step int8
 	vals [maxIfaceVals]rdf.ID
-}
-
-type suffixEntry struct {
-	a, b rdf.ID
-	n    int64
 }
 
 // NewWalker creates an overlay walker for the view. Distinct plans fail
@@ -104,21 +95,19 @@ func NewWalker(v *View, pl *query.Plan, opts WalkerOptions) (*Walker, error) {
 	res := newResolver(v, pl)
 	est := opts.Estimator
 	if est == nil {
-		est = card.NewSpanStats(v.stores()...)
+		est = v.SpanStats()
 	}
 	w := &Walker{
-		v:          v,
-		pl:         pl,
-		res:        res,
-		oracle:     est.NewSuffix(pl, resolverWidth{res}),
-		thresh:     thresh,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
-		acc:        wj.NewAcc(),
-		b:          pl.NewBindings(),
-		gb:         pl.NewBindings(),
-		cache:      make(map[aggKey][]suffixEntry),
-		perGroup:   make(map[rdf.ID]float64),
-		perGroupND: make(map[rdf.ID]numDen),
+		v:      v,
+		pl:     pl,
+		res:    res,
+		oracle: est.NewSuffix(pl, resolverWidth{res}),
+		thresh: thresh,
+		rng:    rand.New(rand.NewSource(opts.Seed)),
+		acc:    wj.NewAcc(),
+		b:      pl.NewBindings(),
+		gb:     pl.NewBindings(),
+		cache:  make(map[aggKey]*ctj.Reduced),
 	}
 	// The root step has no join variables, so its merged span is constant.
 	w.rootSpan, _ = res.resolve(0, w.b)
@@ -228,68 +217,23 @@ func (w *Walker) Step() {
 	}
 }
 
-// finish completes a walk exactly: enumerate (memoized) the live suffix
-// aggregation beyond step i and credit each group scaled by the prefix's
-// inverse probability ∏ d_j.
+// finish completes a walk exactly: the reduced live suffix aggregation
+// beyond step i (memoized per walker) is credited through core.Finish.
 func (w *Walker) finish(i int, b query.Bindings, prodD, tipEst float64, tipped bool) {
-	agg := w.suffixAgg(i, b)
-	if tipped {
-		var actual float64
-		for _, e := range agg {
-			actual += float64(e.n)
-		}
-		w.diag.Observe(tipEst, actual)
-	}
-	if len(agg) == 0 {
-		w.acc.Rejected++
-		return
-	}
-	switch w.pl.Query.Agg {
-	case query.AggSum:
-		clear(w.perGroup)
-		for _, e := range agg {
-			if v, ok := w.v.Numeric(e.b); ok {
-				w.perGroup[e.a] += v * float64(e.n) * prodD
-			}
-		}
-		for a, x := range w.perGroup {
-			w.acc.Add(a, x)
-		}
-	case query.AggAvg:
-		clear(w.perGroupND)
-		for _, e := range agg {
-			if v, ok := w.v.Numeric(e.b); ok {
-				cur := w.perGroupND[e.a]
-				cur.num += v * float64(e.n) * prodD
-				cur.den += float64(e.n) * prodD
-				w.perGroupND[e.a] = cur
-			}
-		}
-		for a, x := range w.perGroupND {
-			w.acc.AddRatio(a, x.num, x.den)
-		}
-	default: // COUNT
-		clear(w.perGroup)
-		for _, e := range agg {
-			w.perGroup[e.a] += float64(e.n) * prodD
-		}
-		for a, x := range w.perGroup {
-			w.acc.Add(a, x)
-		}
-	}
+	core.Finish(w.acc, &w.diag, w.pl.Query, w.suffixReduced(i, b), prodD, tipEst, tipped)
 }
 
-func (w *Walker) suffixAgg(i int, b query.Bindings) []suffixEntry {
+func (w *Walker) suffixReduced(i int, b query.Bindings) *ctj.Reduced {
 	k, ok := w.aggKeyAt(i+1, b)
 	if !ok {
-		return w.computeSuffixAgg(i, b)
+		return w.computeSuffixReduced(i, b)
 	}
-	if agg, hit := w.cache[k]; hit {
-		return agg
+	if red, hit := w.cache[k]; hit {
+		return red
 	}
-	agg := w.computeSuffixAgg(i, b)
-	w.cache[k] = agg
-	return agg
+	red := w.computeSuffixReduced(i, b)
+	w.cache[k] = red
+	return red
 }
 
 func (w *Walker) aggKeyAt(step int, b query.Bindings) (aggKey, bool) {
@@ -320,31 +264,23 @@ func (w *Walker) aggKeyAt(step int, b query.Bindings) (aggKey, bool) {
 	return k, true
 }
 
-func (w *Walker) computeSuffixAgg(i int, b query.Bindings) []suffixEntry {
+// computeSuffixReduced enumerates the live suffix beyond step i and reduces
+// it as it goes: only the per-group terms are cached, so a warm walk costs
+// O(groups).
+func (w *Walker) computeSuffixReduced(i int, b query.Bindings) *ctj.Reduced {
 	q := w.pl.Query
 	copy(w.gb, b)
 	gb := w.gb
-	type akey struct{ a, b rdf.ID }
-	idx := make(map[akey]int)
-	var out []suffixEntry
-	_ = w.res.enumerate(i+1, gb, func() error {
-		a, bb := rdf.NoID, rdf.NoID
-		if q.Alpha != query.NoVar {
-			a = gb[q.Alpha]
-		}
-		if q.Beta != query.NoVar {
-			bb = gb[q.Beta]
-		}
-		ak := akey{a, bb}
-		if j, ok := idx[ak]; ok {
-			out[j].n++
+	return ctj.ReducePaths(q, w.v, func(visit func(a, beta rdf.ID)) {
+		_ = w.res.enumerate(i+1, gb, func() error {
+			a := rdf.NoID
+			if q.Alpha != query.NoVar {
+				a = gb[q.Alpha]
+			}
+			visit(a, gb[q.Beta])
 			return nil
-		}
-		idx[ak] = len(out)
-		out = append(out, suffixEntry{a: a, b: bb, n: 1})
-		return nil
+		})
 	})
-	return out
 }
 
 // Walks returns the number of walks performed; with Step and Snapshot it

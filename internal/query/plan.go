@@ -83,6 +83,12 @@ type Plan struct {
 	AlphaStep, BetaStep int
 	AlphaPos, BetaPos   index.Pos
 	nvars               int
+	// Order and StepCard are set by ChooseOrder and nil on plans compiled in
+	// translation order: Order[i] is the index, in the query handed to the
+	// optimizer, of step i's pattern, and StepCard[i] the estimated
+	// cardinality of that pattern the choice was scored on.
+	Order    []int
+	StepCard []float64
 }
 
 // NumVars returns the size of a binding array for this plan.
@@ -259,9 +265,13 @@ func accessPath(b [3]bool) (AccessKind, index.Order, error) {
 // Explain renders the plan's access paths and statistics-based estimates —
 // the EXPLAIN view of a compiled exploration query. The estimator provides
 // the cardinalities (see internal/card); pass nil to print structure only.
+// A plan from ChooseOrder also shows the order it chose.
 func (pl *Plan) Explain(est Estimator) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan for %s\n", pl.Query)
+	if pl.Order != nil {
+		fmt.Fprintf(&b, "  walk order: %v (position of each step's pattern in the query as translated)\n", pl.Order)
+	}
 	for i := range pl.Steps {
 		st := &pl.Steps[i]
 		fmt.Fprintf(&b, "  step %d: %-24s access=%s/%s", i, st.Pattern.String(), st.Kind, st.Order)

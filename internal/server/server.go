@@ -60,6 +60,7 @@ type backend interface {
 	Root() *kgexplore.ExploreState
 	ParseQuery(string) (*kgexplore.ParsedQuery, error)
 	Compile(*kgexplore.Query) (*kgexplore.Plan, error)
+	PlanWalk(*kgexplore.Plan) *kgexplore.Plan
 	BarsOf(map[kgexplore.ID]float64, map[kgexplore.ID]float64) []kgexplore.Bar
 	EstimatorName() string
 }
@@ -159,13 +160,12 @@ type Server struct {
 	// Off by default: swapping the served store is an operator action
 	// (kgserver -admin).
 	EnableAdmin bool
-	// RebuildsFn, when set, reports dynamic-store rebuild counts in
-	// /healthz (wired to dynamic.Store.Rebuilds by the embedding process).
+	// RebuildsFn, when set, reports the embedding process's store rebuild
+	// count in /healthz.
 	RebuildsFn func() int
 	// PersistErrFn, when set, reports the embedding process's last
-	// persistence error in /healthz's lastError (wired to
-	// dynamic.Store.PersistErr). Live epochs report their own WAL and
-	// compaction errors there without this hook.
+	// persistence error in /healthz's lastError. Live epochs report their
+	// own WAL and compaction errors there without this hook.
 	PersistErrFn func() error
 	// Estimator, when set, is applied (Dataset.UseEstimator) to every
 	// dataset installed by an admin swap, so a server started with
@@ -517,7 +517,7 @@ type HealthResponse struct {
 	Live *kgexplore.LiveStats `json:"live,omitempty"`
 	// LastError surfaces the most recent background persistence or
 	// compaction error (live epochs report WAL/compaction failures here;
-	// embedding processes can report dynamic-store persist errors through
+	// embedding processes can report their own persist errors through
 	// PersistErrFn) so operators see failures without polling.
 	LastError string `json:"lastError,omitempty"`
 	// Strategy is the walk-allocation strategy every online run uses:
@@ -937,6 +937,12 @@ type ChartResponse struct {
 	// Live identifies the overlay state a live epoch's chart was computed
 	// over: the view generation and layer sizes at response time.
 	Live *LiveChartBody `json:"live,omitempty"`
+	// WalkOrder and StepCard report the walk order the optimizer chose for
+	// an online run (final responses only): WalkOrder[i] is the position, in
+	// the query as translated, of the pattern walked at step i, and
+	// StepCard[i] that pattern's estimated cardinality.
+	WalkOrder []int     `json:"walkOrder,omitempty"`
+	StepCard  []float64 `json:"stepCard,omitempty"`
 }
 
 // LiveChartBody is the per-request overlay telemetry of a live epoch.
@@ -1070,6 +1076,7 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	pl = planWalk(e, pl, req.Engine)
 	if r.URL.Query().Get("stream") == "1" {
 		s.streamChart(w, r, e, req.Op, pl, req)
 		return
@@ -1087,7 +1094,21 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {
 	resp.Tips = extras.tips
 	resp.Dist = extras.dist
 	resp.Strat = extras.strat
+	resp.WalkOrder, resp.StepCard = pl.Order, pl.StepCard
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// planWalk chooses the request's walk order, once, before anything keys on
+// the plan: the warm-start caches are looked up by the CHOSEN plan's
+// signature (a shared CTJ cache binds to one signature for life), and the
+// backend constructors walk a chosen plan as given. Exact engines keep the
+// translation order.
+func planWalk(e *epoch, pl *kgexplore.Plan, engine string) *kgexplore.Plan {
+	switch engine {
+	case "ctj", "lftj", "baseline":
+		return pl
+	}
+	return e.be.PlanWalk(pl)
 }
 
 func engineName(e string) string {
@@ -1486,7 +1507,7 @@ func (s *Server) evaluateUnion(ctx context.Context, e *epoch, u *kgexplore.Union
 
 // streamChart answers a `?stream=1` chart request with Server-Sent Events:
 // one ChartResponse per snapshot interval, each strictly further along than
-// the last, and a Final event when the budget elapses. Closing the
+// the last, and always exactly one Final event, last, when the budget elapses. Closing the
 // connection cancels the run through the request context.
 func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, op string, pl *kgexplore.Plan, req ChartRequest) {
 	engine := engineName(req.Engine)
@@ -1554,6 +1575,9 @@ func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, o
 			resp.Cache = cacheStatsOf(runner)
 			resp.Tips = s.tipStatsOf(runner)
 			resp.Strat = stratStatsOf(runner)
+		}
+		if p.Final {
+			resp.WalkOrder, resp.StepCard = pl.Order, pl.StepCard
 		}
 		data, err := json.Marshal(resp)
 		if err != nil {
@@ -1672,15 +1696,16 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var counts, ci map[kgexplore.ID]float64
 	var extras chartExtras
+	var pl *kgexplore.Plan // nil for unions, whose branches are planned one by one
 	if parsed.IsUnion() {
 		counts, ci, extras, err = s.evaluateUnion(r.Context(), e, parsed.Union(), req.Engine, req.BudgetMS)
 	} else {
-		var pl *kgexplore.Plan
 		pl, err = e.be.Compile(parsed.Query)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		pl = planWalk(e, pl, req.Engine)
 		counts, ci, extras, err = s.evaluate(r.Context(), e, pl, req.Engine, req.BudgetMS)
 	}
 	if err != nil {
@@ -1694,6 +1719,9 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	resp.Tips = extras.tips
 	resp.Dist = extras.dist
 	resp.Strat = extras.strat
+	if pl != nil {
+		resp.WalkOrder, resp.StepCard = pl.Order, pl.StepCard
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

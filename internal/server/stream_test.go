@@ -81,9 +81,14 @@ func TestStreamChartProgressiveSnapshots(t *testing.T) {
 		if e.Engine != "wj" || e.NumBars == 0 {
 			t.Errorf("event %d = %+v", i, e)
 		}
-		if i > 0 && e.Walks <= events[i-1].Walks {
-			t.Errorf("walks not strictly increasing: event %d has %d after %d",
+		// Progressive events move strictly forward; only the final one may
+		// repeat a count (a budget that ran out mid-delivery).
+		if i > 0 && (e.Walks < events[i-1].Walks || (e.Walks == events[i-1].Walks && !e.Final)) {
+			t.Errorf("walks not increasing: event %d has %d after %d",
 				i, e.Walks, events[i-1].Walks)
+		}
+		if e.Final != (i == len(events)-1) {
+			t.Errorf("event %d of %d has final=%v; exactly the last event is final", i, len(events), e.Final)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"kgexplore/internal/ctj"
 	"kgexplore/internal/rdf"
 )
 
@@ -16,14 +17,6 @@ const maxIfaceVals = 8
 type aggKey struct {
 	step int8
 	vals [maxIfaceVals]rdf.ID
-}
-
-// suffixEntry is one (α, β) group of an exactly-enumerated suffix: a and b
-// are the bound values (NoID when unbound by the suffix) and n the number
-// of suffix paths carrying them.
-type suffixEntry struct {
-	a, b rdf.ID
-	n    int64
 }
 
 // groupEntry memoizes the owned-distinct estimator's per-value work: the
@@ -43,7 +36,7 @@ type groupEntry struct {
 // computation but never see a torn entry.
 type Cache struct {
 	mu     sync.RWMutex
-	agg    map[aggKey][]suffixEntry
+	agg    map[aggKey]*ctj.Reduced
 	groups map[rdf.ID]groupEntry
 
 	hits, misses atomic.Int64
@@ -52,7 +45,7 @@ type Cache struct {
 // NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{
-		agg:    make(map[aggKey][]suffixEntry),
+		agg:    make(map[aggKey]*ctj.Reduced),
 		groups: make(map[rdf.ID]groupEntry),
 	}
 }
@@ -68,7 +61,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-func (c *Cache) getAgg(k aggKey) ([]suffixEntry, bool) {
+func (c *Cache) getAgg(k aggKey) (*ctj.Reduced, bool) {
 	c.mu.RLock()
 	v, ok := c.agg[k]
 	c.mu.RUnlock()
@@ -80,9 +73,9 @@ func (c *Cache) getAgg(k aggKey) ([]suffixEntry, bool) {
 	return v, ok
 }
 
-// putAgg publishes a computed aggregation; if another walker won the race,
-// the incumbent is returned so all callers agree on one slice.
-func (c *Cache) putAgg(k aggKey, v []suffixEntry) []suffixEntry {
+// putAgg publishes a computed, reduced aggregation; if another walker won
+// the race, the incumbent is returned so all callers agree on one value.
+func (c *Cache) putAgg(k aggKey, v *ctj.Reduced) *ctj.Reduced {
 	c.mu.Lock()
 	if cur, ok := c.agg[k]; ok {
 		c.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 
 	"kgexplore/internal/card"
 	"kgexplore/internal/core"
+	"kgexplore/internal/ctj"
 	"kgexplore/internal/index"
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
@@ -120,14 +121,9 @@ type Walker struct {
 	ownKind  query.AccessKind
 	ownOrder index.Order
 
-	perGroup   map[rdf.ID]float64
-	perGroupND map[rdf.ID]numDen
-
 	tipped int64
 	diag   core.TipDiag
 }
-
-type numDen struct{ num, den float64 }
 
 // NewWalker creates the stratum walker. It fails with ErrDistinctNotOwned
 // for distinct plans the stratified estimator cannot serve.
@@ -150,19 +146,17 @@ func NewWalker(set *Set, pl *query.Plan, stratum int, opts WalkerOptions) (*Walk
 	}
 	est := setEstimator(set, opts.Estimator)
 	w := &Walker{
-		set:        set,
-		pl:         pl,
-		stratum:    stratum,
-		res:        res,
-		oracle:     est.NewSuffix(pl, resolverWidth{res}),
-		cache:      cache,
-		thresh:     opts.Threshold,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
-		acc:        wj.NewAcc(),
-		b:          pl.NewBindings(),
-		gb:         pl.NewBindings(),
-		perGroup:   make(map[rdf.ID]float64),
-		perGroupND: make(map[rdf.ID]numDen),
+		set:     set,
+		pl:      pl,
+		stratum: stratum,
+		res:     res,
+		oracle:  est.NewSuffix(pl, resolverWidth{res}),
+		cache:   cache,
+		thresh:  opts.Threshold,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		acc:     wj.NewAcc(),
+		b:       pl.NewBindings(),
+		gb:      pl.NewBindings(),
 	}
 
 	// Root span of this stratum. Step 0 has no join variables, so it is
@@ -416,70 +410,23 @@ func (w *Walker) computeGroups(v rdf.ID) groupEntry {
 	return groupEntry{groups: groups, rootN: n}
 }
 
-// finish completes a walk exactly: enumerate (or fetch from the stratum
-// cache) the suffix aggregation beyond step i and credit each group with
-// its path count scaled by the sampled prefix's inverse probability ∏ d_j —
-// core.Runner's finish over the resolver instead of a single-store CTJ.
-// Tipped walks additionally record the oracle's estimate against the exact
-// suffix size the aggregation just computed (free estimate-vs-actual
-// diagnostics, mirroring core.Runner).
+// finish completes a walk exactly: the reduced suffix aggregation beyond
+// step i (enumerated through the resolver, or fetched from the stratum
+// cache) is credited through core.Finish — core.Runner's finish over the
+// resolver instead of a single-store CTJ.
 func (w *Walker) finish(i int, b query.Bindings, prodD, tipEst float64, tipped bool) {
-	agg := w.suffixAgg(i, b)
-	if tipped {
-		var actual float64
-		for _, e := range agg {
-			actual += float64(e.n)
-		}
-		w.diag.Observe(tipEst, actual)
-	}
-	if len(agg) == 0 {
-		w.acc.Rejected++
-		return
-	}
-	switch w.pl.Query.Agg {
-	case query.AggSum:
-		clear(w.perGroup)
-		for _, e := range agg {
-			if v, ok := w.set.Numeric(e.b); ok {
-				w.perGroup[e.a] += v * float64(e.n) * prodD
-			}
-		}
-		for a, x := range w.perGroup {
-			w.acc.Add(a, x)
-		}
-	case query.AggAvg:
-		clear(w.perGroupND)
-		for _, e := range agg {
-			if v, ok := w.set.Numeric(e.b); ok {
-				cur := w.perGroupND[e.a]
-				cur.num += v * float64(e.n) * prodD
-				cur.den += float64(e.n) * prodD
-				w.perGroupND[e.a] = cur
-			}
-		}
-		for a, x := range w.perGroupND {
-			w.acc.AddRatio(a, x.num, x.den)
-		}
-	default: // COUNT
-		clear(w.perGroup)
-		for _, e := range agg {
-			w.perGroup[e.a] += float64(e.n) * prodD
-		}
-		for a, x := range w.perGroup {
-			w.acc.Add(a, x)
-		}
-	}
+	core.Finish(w.acc, &w.diag, w.pl.Query, w.suffixReduced(i, b), prodD, tipEst, tipped)
 }
 
-func (w *Walker) suffixAgg(i int, b query.Bindings) []suffixEntry {
+func (w *Walker) suffixReduced(i int, b query.Bindings) *ctj.Reduced {
 	k, ok := w.aggKeyAt(i+1, b)
 	if !ok {
-		return w.computeSuffixAgg(i, b)
+		return w.computeSuffixReduced(i, b)
 	}
-	if agg, hit := w.cache.getAgg(k); hit {
-		return agg
+	if red, hit := w.cache.getAgg(k); hit {
+		return red
 	}
-	return w.cache.putAgg(k, w.computeSuffixAgg(i, b))
+	return w.cache.putAgg(k, w.computeSuffixReduced(i, b))
 }
 
 // aggKeyAt builds the cache key for boundary step: the interface variable
@@ -514,29 +461,21 @@ func (w *Walker) aggKeyAt(step int, b query.Bindings) (aggKey, bool) {
 	return k, true
 }
 
-func (w *Walker) computeSuffixAgg(i int, b query.Bindings) []suffixEntry {
+// computeSuffixReduced enumerates the suffix beyond step i and reduces it as
+// it goes: only the per-group terms are cached, so a warm walk costs
+// O(groups). Distinct plans never reach it (stepOwned).
+func (w *Walker) computeSuffixReduced(i int, b query.Bindings) *ctj.Reduced {
 	q := w.pl.Query
-	type akey struct{ a, b rdf.ID }
-	idx := make(map[akey]int)
-	var out []suffixEntry
-	_ = w.res.enumerate(i+1, b, func() error {
-		a, bb := rdf.NoID, rdf.NoID
-		if q.Alpha != query.NoVar {
-			a = b[q.Alpha]
-		}
-		if q.Beta != query.NoVar {
-			bb = b[q.Beta]
-		}
-		ak := akey{a, bb}
-		if j, ok := idx[ak]; ok {
-			out[j].n++
+	return ctj.ReducePaths(q, w.set, func(visit func(a, beta rdf.ID)) {
+		_ = w.res.enumerate(i+1, b, func() error {
+			a := rdf.NoID
+			if q.Alpha != query.NoVar {
+				a = b[q.Alpha]
+			}
+			visit(a, b[q.Beta])
 			return nil
-		}
-		idx[ak] = len(out)
-		out = append(out, suffixEntry{a: a, b: bb, n: 1})
-		return nil
+		})
 	})
-	return out
 }
 
 // Walks returns the number of walks performed; with Step and Snapshot it

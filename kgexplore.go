@@ -201,7 +201,7 @@ func (d *Dataset) RunAuditJoinParallel(ctx context.Context, pl *Plan, opts Audit
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
-	return core.RunParallelStats(ctx, d.store, pl, opts, workers, xopts)
+	return core.RunParallelStats(ctx, d.store, d.PlanWalk(pl), opts, workers, xopts)
 }
 
 // Re-exported streaming-execution types (internal/exec): both WanderJoin and
@@ -362,9 +362,23 @@ func LoadStoreSnapshotFile(path string, mmap bool) (*StoreSnapshot, error) {
 	return &StoreSnapshot{Dataset: ds, Mmap: l.Mmap, Source: l.Meta.Source, loaded: l}, nil
 }
 
-// Explain renders a compiled plan's access paths and cardinality estimates
-// under the dataset's estimator.
-func (d *Dataset) Explain(pl *Plan) string { return pl.Explain(d.estimator()) }
+// Explain renders the plan as the online estimators will walk it — the
+// order PlanWalk chooses, with per-step access paths and the cardinality
+// estimates the choice was scored on — under the dataset's estimator.
+func (d *Dataset) Explain(pl *Plan) string { return d.PlanWalk(pl).Explain(d.estimator()) }
+
+// PlanWalk returns the plan recompiled in the walk order the dataset's
+// statistics favour: the most selective pattern roots the walk and every
+// later step is the most selective pattern connected to it (see
+// query.ChooseOrder). Every online-estimator constructor of the dataset
+// applies it, and a plan it has already returned passes through unchanged,
+// so callers need it only to learn the choice first — to key a shared CTJ
+// cache on the chosen plan's signature, or to show Plan.Order and
+// Plan.StepCard. Exact engines and the internal constructors (core.New)
+// run the plan they are given.
+func (d *Dataset) PlanWalk(pl *Plan) *Plan {
+	return query.ChooseOrder(pl, d.estimator(), false)
+}
 
 // Dataset is an indexed knowledge graph ready for exploration: the graph
 // with its subclass closure materialized, the four trie index orders, and
@@ -577,10 +591,9 @@ func (d *Dataset) NewUnionEstimator(up *UnionPlan, seed int64) (*UnionEstimator,
 	branches := make([]exec.AccStepper, len(up.Plans))
 	weights := make([]float64, len(up.Plans))
 	for i, pl := range up.Plans {
-		branches[i] = core.New(d.store, pl, core.Options{
+		branches[i] = d.NewAuditJoin(pl, AuditJoinOptions{
 			Threshold: core.DefaultThreshold,
 			Seed:      seed + int64(i)*1_000_003,
-			Estimator: d.est,
 		})
 		weights[i] = d.estimator().JoinSize(pl).Value
 	}
@@ -645,37 +658,41 @@ func (d *Dataset) AutoCtx(ctx context.Context, pl *Plan, budget time.Duration, s
 		}
 		return AutoResult{Counts: counts, Exact: true}, nil
 	}
-	r := core.New(d.store, pl, core.Options{Threshold: core.DefaultThreshold, Seed: seed, Estimator: d.est})
+	r := d.NewAuditJoin(pl, AuditJoinOptions{Threshold: core.DefaultThreshold, Seed: seed})
 	rep, err := exec.Drive(ctx, r, exec.Options{Budget: budget, Batch: 128})
 	snap := rep.Final
 	return AutoResult{Counts: snap.Estimates, CI: snap.CI, Walks: snap.Walks}, err
 }
 
-// NewWanderJoin creates a Wander Join estimator for the plan.
+// NewWanderJoin creates a Wander Join estimator for the plan, walked in the
+// order PlanWalk chooses.
 func (d *Dataset) NewWanderJoin(pl *Plan, seed int64) *WanderJoin {
-	return wj.New(d.store, pl, seed)
+	return wj.New(d.store, d.PlanWalk(pl), seed)
 }
 
-// NewAuditJoin creates an Audit Join estimator for the plan. The dataset's
-// configured cardinality estimator drives the tipping oracle unless the
-// options name one explicitly.
+// NewAuditJoin creates an Audit Join estimator for the plan, walked in the
+// order PlanWalk chooses. The dataset's configured cardinality estimator
+// drives the tipping oracle unless the options name one explicitly. A
+// shared cache in opts is bound to the chosen plan's signature.
 func (d *Dataset) NewAuditJoin(pl *Plan, opts AuditJoinOptions) *AuditJoin {
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
-	return core.New(d.store, pl, opts)
+	return core.New(d.store, d.PlanWalk(pl), opts)
 }
 
 // NewStratifiedAuditJoin creates a stratified Audit Join estimator: walk
 // roots are stratified by their subject's characteristic-set bucket and the
-// walk budget is Neyman-allocated across strata. Plans that cannot be
-// stratified (DISTINCT, membership roots, single-bucket spans) degrade to a
-// uniform runner; Stats().Fallback records why.
+// walk budget is Neyman-allocated across strata. The plan is walked in the
+// order PlanWalk chooses, so the strata partition the chosen root's span;
+// plans that cannot be stratified there (DISTINCT, membership roots,
+// single-bucket spans) degrade to a uniform runner and Stats().Fallback
+// records why.
 func (d *Dataset) NewStratifiedAuditJoin(pl *Plan, opts StratifiedAuditJoinOptions) *StratifiedAuditJoin {
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
-	return core.NewStratified(d.store, pl, opts)
+	return core.NewStratified(d.store, d.PlanWalk(pl), opts)
 }
 
 // PathStep records one exploration interaction portably (by decoded term),

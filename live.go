@@ -167,10 +167,22 @@ func (d *LiveDataset) IngestNTriples(adds, dels []string) (int, error) {
 	return len(ops), nil
 }
 
-// NewLiveWalker creates an Audit Join walker over the CURRENT view.
-// COUNT(DISTINCT) plans fail with ErrLiveDistinct — route them to ExactCtx.
+// PlanWalk is Dataset.PlanWalk over the CURRENT view's merged statistics.
+// Ingest moves those statistics, so the choice holds for the view it was
+// made on; a plan chosen here and handed to NewLiveWalker is walked as
+// chosen.
+func (d *LiveDataset) PlanWalk(pl *Plan) *Plan { return planLiveWalk(d.ls.View(), pl) }
+
+func planLiveWalk(v *LiveView, pl *Plan) *Plan {
+	return query.ChooseOrder(pl, v.SpanStats(), false)
+}
+
+// NewLiveWalker creates an Audit Join walker over the CURRENT view, walking
+// the plan in the order PlanWalk chooses on that same view. COUNT(DISTINCT)
+// plans fail with ErrLiveDistinct — route them to ExactCtx.
 func (d *LiveDataset) NewLiveWalker(pl *Plan, opts LiveWalkerOptions) (*LiveWalker, error) {
-	return live.NewWalker(d.ls.View(), pl, opts)
+	v := d.ls.View()
+	return live.NewWalker(v, planLiveWalk(v, pl), opts)
 }
 
 // ExactCtx evaluates the plan exactly over the current view's live triple
@@ -208,7 +220,7 @@ func (d *LiveDataset) NewUnionEstimator(up *UnionPlan, opts LiveWalkerOptions) (
 	for i, pl := range up.Plans {
 		bopts := opts
 		bopts.Seed = opts.Seed + int64(i)*1_000_003
-		w, err := live.NewWalker(v, pl, bopts)
+		w, err := live.NewWalker(v, planLiveWalk(v, pl), bopts)
 		if err != nil {
 			return nil, err
 		}

@@ -59,20 +59,38 @@ type ShardedDataset struct {
 	est card.Estimator
 }
 
-// UseEstimator switches the sharded dataset's tipping and budget decisions
-// to the named cardinality estimator, constructed over all shard stores.
-// Call it during setup, before the dataset is shared across goroutines.
-func (d *ShardedDataset) UseEstimator(name string) error {
+// stores lists the shard stores, the scope of set-level statistics.
+func (d *ShardedDataset) stores() []*index.Store {
 	stores := make([]*index.Store, d.set.K())
 	for i := range stores {
 		stores[i] = d.set.Store(i)
 	}
-	est, err := card.ByName(name, stores...)
+	return stores
+}
+
+// UseEstimator switches the sharded dataset's tipping and budget decisions
+// to the named cardinality estimator, constructed over all shard stores.
+// Call it during setup, before the dataset is shared across goroutines.
+func (d *ShardedDataset) UseEstimator(name string) error {
+	est, err := card.ByName(name, d.stores()...)
 	if err != nil {
 		return err
 	}
 	d.est = est
 	return nil
+}
+
+// PlanWalk is Dataset.PlanWalk over the set-level statistics, applied by
+// every scatter constructor. COUNT(DISTINCT) plans keep their translation
+// root — ownership of the distinct variable (ShardScatterOwned), and with it
+// the choice between the stratified estimator and the exact union, is read
+// off the root pattern — and reorder only the steps after it.
+func (d *ShardedDataset) PlanWalk(pl *Plan) *Plan {
+	est := d.est
+	if est == nil {
+		est = card.NewSpanStats(d.stores()...)
+	}
+	return query.ChooseOrder(pl, est, pl.Query.Distinct)
 }
 
 // EstimatorName reports which cardinality estimator the sharded dataset
@@ -223,7 +241,11 @@ func (d *ShardedDataset) NewUnionScatter(up *UnionPlan, opts ShardScatterOptions
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
-	return shard.NewUnionScatter(d.set, up, opts)
+	planned := &UnionPlan{Query: up.Query, Plans: make([]*Plan, len(up.Plans))}
+	for i, pl := range up.Plans {
+		planned.Plans[i] = d.PlanWalk(pl)
+	}
+	return shard.NewUnionScatter(d.set, planned, opts)
 }
 
 // RunUnionScatter drives the union stepper under xopts and returns the final
@@ -248,18 +270,19 @@ func (d *ShardedDataset) RunUnionScatter(ctx context.Context, up *UnionPlan, opt
 	return rep.Final, nil
 }
 
-// NewScatter creates the sequential scatter-gather stepper for the plan:
-// one walker per shard, stepped round-robin weighted by root cardinality.
-// Drive it with Drive or RunWalks; Snapshot merges the strata.
+// NewScatter creates the sequential scatter-gather stepper for the plan,
+// walked in the order PlanWalk chooses: one walker per shard, stepped
+// round-robin weighted by root cardinality. Drive it with Drive or RunWalks;
+// Snapshot merges the strata. Warm caches in opts serve the chosen plan.
 func (d *ShardedDataset) NewScatter(pl *Plan, opts ShardScatterOptions) (*ShardScatter, error) {
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
-	return shard.NewScatter(d.set, pl, opts)
+	return shard.NewScatter(d.set, d.PlanWalk(pl), opts)
 }
 
-// RunScatter runs scatter-gather Audit Join over the shards: per-shard
-// walker pools sharing per-stratum caches, walks allocated proportionally
+// RunScatter runs scatter-gather Audit Join over the shards, in the walk
+// order PlanWalk chooses: per-shard walker pools sharing per-stratum caches, walks allocated proportionally
 // to root cardinality, per-shard accumulators merged into globally unbiased
 // estimates with stratified CIs. xopts.MaxWalks is the total walk budget
 // across all shards. COUNT(DISTINCT) plans whose distinct variable is not
@@ -269,7 +292,7 @@ func (d *ShardedDataset) RunScatter(ctx context.Context, pl *Plan, opts ShardSca
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
-	return shard.RunScatter(ctx, d.set, pl, opts, xopts)
+	return shard.RunScatter(ctx, d.set, d.PlanWalk(pl), opts, xopts)
 }
 
 // ShardScatterOwned reports whether the plan's COUNT(DISTINCT) variable is
