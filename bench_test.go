@@ -276,6 +276,45 @@ func BenchmarkSampleTimeAJAlloc(b *testing.B) {
 	}
 }
 
+// BenchmarkAuditJoinTimeToExact measures a cold runner's whole way to an
+// exact answer through the finite-population finish: the fixture's
+// COUNT(DISTINCT) plan, exact as soon as its first finished walk has
+// materialized the probability table, and the same join as a plain COUNT,
+// which must walk once per root and then sweep the span. walks/op is the
+// sample drawn on the way.
+func BenchmarkAuditJoinTimeToExact(b *testing.B) {
+	loadFixture(b)
+	plain := *fixture.plan.Query
+	plain.Distinct = false
+	countPlan, err := query.Compile(&plain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		pl   *query.Plan
+		by   core.ExactSource
+	}{
+		{"distinct-table", fixture.plan, core.ExactTable},
+		{"count-sweep", countPlan, core.ExactSweep},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var walks int64
+			for i := 0; i < b.N; i++ {
+				r := core.New(fixture.store, bc.pl, core.Options{Threshold: core.DefaultThreshold, Seed: int64(i) + 1})
+				for !r.Exact() && r.Walks() < 1<<20 {
+					r.Step()
+				}
+				if r.ExactSource() != bc.by {
+					b.Fatalf("exact by %q after %d walks, want %q", r.ExactSource(), r.Walks(), bc.by)
+				}
+				walks += r.Walks()
+			}
+			b.ReportMetric(float64(walks)/float64(b.N), "walks/op")
+		})
+	}
+}
+
 // --- Ablations -------------------------------------------------------------
 
 // pathCountPlan builds a 3-hop path-counting query over the most popular

@@ -33,6 +33,9 @@ type repl struct {
 	// lastCache holds the CTJ cache stats of the most recent aj run, printed
 	// under the chart; nil after other engines.
 	lastCache *kgexplore.CTJCacheStats
+	// lastExact is set when the most recent aj run finished its query
+	// exactly: the bars then carry no interval, and the header says why.
+	lastExact bool
 }
 
 func main() {
@@ -271,9 +274,18 @@ func (r *repl) chart(opName string) {
 	}
 	bars := r.ds.BarsOf(counts, ci)
 	fmt.Fprintf(r.out, "%v chart: %d bars (%s, %v)\n",
-		op, len(bars), r.engine, time.Since(start).Round(time.Millisecond))
+		op, len(bars), r.engineLabel(), time.Since(start).Round(time.Millisecond))
 	r.printBars(bars)
 	r.printCacheStats()
+}
+
+// engineLabel names the engine of the last run, marking an online run that
+// ended exact.
+func (r *repl) engineLabel() string {
+	if r.lastExact {
+		return r.engine + ", exact"
+	}
+	return r.engine
 }
 
 func (r *repl) printBars(bars []kgexplore.Bar) {
@@ -329,7 +341,7 @@ func trunc(s string, n int) string {
 }
 
 func (r *repl) run(pl *kgexplore.Plan) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, error) {
-	r.lastCache = nil
+	r.lastCache, r.lastExact = nil, false
 	switch r.engine {
 	case "ctj":
 		res, err := r.ds.Exact(pl, kgexplore.EngineCTJ)
@@ -357,7 +369,7 @@ func (r *repl) run(pl *kgexplore.Plan) (map[kgexplore.ID]float64, map[kgexplore.
 			return nil, nil, err
 		}
 		cs := runner.CacheStats()
-		r.lastCache = &cs
+		r.lastCache, r.lastExact = &cs, rep.Final.Exact
 		return rep.Final.Estimates, rep.Final.CI, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown engine %q", r.engine)
@@ -369,7 +381,7 @@ func (r *repl) run(pl *kgexplore.Plan) (map[kgexplore.ID]float64, map[kgexplore.
 // estimator, except DISTINCT unions, which have no unbiased estimator and
 // fall back to the exact CTJ union.
 func (r *repl) runUnion(u *kgexplore.UnionQuery) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, error) {
-	r.lastCache = nil
+	r.lastCache, r.lastExact = nil, false
 	up, err := r.ds.CompileUnion(u)
 	if err != nil {
 		return nil, nil, err
@@ -449,7 +461,7 @@ func (r *repl) sparql(src string) {
 		return
 	}
 	bars := r.ds.BarsOf(counts, ci)
-	fmt.Fprintf(r.out, "%d groups (%s, %v)\n", len(bars), r.engine, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(r.out, "%d groups (%s, %v)\n", len(bars), r.engineLabel(), time.Since(start).Round(time.Millisecond))
 	r.printBars(bars)
 	r.printCacheStats()
 	var total float64

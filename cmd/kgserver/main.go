@@ -60,7 +60,7 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "scale for -gen")
 	load := flag.String("load", "", "load an N-Triples/Turtle/.kgx file instead of generating")
 	snapshot := flag.String("snapshot", "", "serve a store snapshot (.kgs, see kgsnap) instead of generating")
-	snapMode := flag.String("snapmode", "mmap", "how to load -snapshot: mmap (zero-copy) or copy (verified)")
+	snapMode := flag.String("snapmode", "mmap", "how to load -snapshot: mmap (zero-copy) or copy (verified); -live always copies")
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 0, "shard the dataset in-process into N shards and serve scatter-gather Audit Join")
 	partitioner := flag.String("partitioner", "", "partitioner for -shards (default "+kgexplore.DefaultPartitioner+")")
@@ -114,7 +114,11 @@ func main() {
 	start := time.Now()
 	switch {
 	case *snapshot != "":
-		ds, prov, closer, err = server.LoadDataset(*snapshot, *snapMode != "copy")
+		mmap, note := snapshotMmap(*snapMode, *liveOn)
+		if note != "" {
+			fmt.Fprintf(os.Stderr, "kgserver: %s\n", note)
+		}
+		ds, prov, closer, err = server.LoadDataset(*snapshot, mmap)
 	case *load != "":
 		ds, prov, closer, err = server.LoadDataset(*load, false)
 	case *gen == "lgd":
@@ -292,6 +296,23 @@ func compactLoop(srv *server.Server, lds *kgexplore.LiveDataset, dir string, eve
 		fmt.Fprintf(os.Stderr, "kgserver: compacted to %s in %dms (%d residual adds, %d residual tombstones)\n",
 			path, res.Millis, res.ResidualAdds, res.ResidualTombs)
 	}
+}
+
+// snapshotMmap resolves how -snapshot FILE.kgs is loaded: mmap'ed unless
+// -snapmode copy — or -live, whatever the mode says. A live store keeps its
+// base's dictionary for good, and an mmap'ed dictionary's strings alias the
+// mapping that the first compaction's epoch rotation unmaps: the next
+// query to intern a term would fault. note, when non-empty, tells the
+// operator the mode was overridden.
+func snapshotMmap(snapMode string, live bool) (mmap bool, note string) {
+	if snapMode == "copy" {
+		return false, ""
+	}
+	if live {
+		return false, "-live loads the base snapshot in copy mode (-snapmode " + snapMode +
+			" ignored): the live store's dictionary must outlive the base a compaction retires"
+	}
+	return true, ""
 }
 
 // liveCompactDir resolves the directory compaction snapshots are written to,

@@ -36,3 +36,25 @@ func TestLiveCompactDir(t *testing.T) {
 		t.Errorf("default live directory %q not created: %v", def, err)
 	}
 }
+
+// -live must never serve an mmap'ed base: its dictionary strings would alias
+// a mapping the first compaction unmaps.
+func TestSnapshotMmap(t *testing.T) {
+	for _, tc := range []struct {
+		mode       string
+		live       bool
+		mmap, note bool
+	}{
+		{"mmap", false, true, false},
+		{"copy", false, false, false},
+		{"mmap", true, false, true},
+		{"copy", true, false, false},
+		{"", true, false, true},
+	} {
+		mmap, note := snapshotMmap(tc.mode, tc.live)
+		if mmap != tc.mmap || (note != "") != tc.note {
+			t.Errorf("snapshotMmap(%q, live=%v) = %v, %q; want mmap=%v, note=%v",
+				tc.mode, tc.live, mmap, note, tc.mmap, tc.note)
+		}
+	}
+}

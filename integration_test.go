@@ -263,7 +263,8 @@ func mapsEq(a, b map[rdf.ID]float64) bool {
 }
 
 // TestAutoPicksStrategy checks the hybrid Auto evaluator: a tiny join is
-// answered exactly; a huge one is estimated under the budget.
+// answered exactly by CTJ; a huge one goes to Audit Join, which reports an
+// exact answer when it finishes one and an estimate otherwise.
 func TestAutoPicksStrategy(t *testing.T) {
 	// Large enough that the root out-property join exceeds AutoExactLimit.
 	ds, err := GenerateDBpediaSim(0.1)
@@ -286,7 +287,10 @@ func TestAutoPicksStrategy(t *testing.T) {
 	if !res.Exact || len(res.Counts) == 0 {
 		t.Errorf("small join: exact=%v counts=%d", res.Exact, len(res.Counts))
 	}
-	// Large: out-property chart of the root (the full-graph join).
+	// Large: out-property chart of the root (the full-graph join), too big
+	// for the CTJ branch. It is COUNT(DISTINCT) and its probability table
+	// materializes on the first finished walk, so the online branch comes
+	// back exact — no CI map, a handful of walks — and agrees with CTJ.
 	q, err = ds.Root().Query(OpOutProp)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +299,34 @@ func TestAutoPicksStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = ds.Auto(pl, 50*time.Millisecond, 1)
+	res, err = ds.Auto(pl, 5*time.Second, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact || res.CI != nil || res.Walks == 0 {
+		t.Errorf("large distinct join: exact=%v ci=%v walks=%d; want the online branch to end exact", res.Exact, res.CI != nil, res.Walks)
+	}
+	truth, err := ds.Exact(pl, EngineCTJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Counts) != len(truth) {
+		t.Errorf("large distinct join: %d groups, ctj %d", len(res.Counts), len(truth))
+	}
+	for a, w := range truth {
+		if res.Counts[a] != w {
+			t.Errorf("group %d: %v, ctj %v", a, res.Counts[a], w)
+		}
+	}
+	// The same join as a plain COUNT has no table, and its root span — every
+	// triple — cannot be swept in 5 ms: an estimate with intervals.
+	plain := *q
+	plain.Distinct = false
+	pl, err = ds.Compile(&plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = ds.Auto(pl, 5*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

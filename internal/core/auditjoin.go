@@ -90,11 +90,29 @@ type Runner struct {
 
 	tipped int64 // walks that ended in a partial exact computation
 	diag   TipDiag
+
+	// fin is the finite-population finish riding beside the sample (see
+	// exact.go); nil on runners that only ever sample.
+	fin *finisher
 }
 
 // New creates a Runner. A non-positive Threshold in opts is kept as given
 // (zero disables tipping except on empty suffixes).
 func New(store *index.Store, pl *query.Plan, opts Options) *Runner {
+	r := newSampler(store, pl, opts)
+	if opts.Root == nil {
+		// A stratum runner estimates its stratum's total, which no
+		// whole-query answer describes.
+		r.fin = newFinisher(r)
+		r.fin.adopt(r)
+	}
+	return r
+}
+
+// newSampler creates a Runner that only ever samples: the workers of
+// RunParallel and NewStratified, whose drivers merge accumulators and never
+// read a runner's own snapshot, so a finish would be work nobody sees.
+func newSampler(store *index.Store, pl *query.Plan, opts Options) *Runner {
 	oracle := opts.Oracle
 	if oracle == nil {
 		est := opts.Estimator
@@ -123,8 +141,19 @@ func New(store *index.Store, pl *query.Plan, opts Options) *Runner {
 	}
 }
 
-// Step performs one Audit Join walk (Fig. 7 of the paper).
+// Step performs one Audit Join walk (Fig. 7 of the paper) and, until the
+// answer is known exactly, a bounded slice of the finite-population finish.
+// The finish reads no randomness and never touches the accumulator, so the
+// sample after k Steps is the same with or without it.
 func (r *Runner) Step() {
+	r.walk()
+	if r.fin != nil && r.fin.values == nil {
+		r.fin.advance(r)
+	}
+}
+
+// walk performs one Audit Join walk.
+func (r *Runner) walk() {
 	r.acc.N++
 	b := r.b
 	b.Reset()
@@ -169,6 +198,9 @@ func (r *Runner) Step() {
 			r.tipped++
 			r.finish(i, b, prodD, est, true)
 			return
+		}
+		if i == 0 && r.fin != nil {
+			r.fin.rootPassed(r)
 		}
 	}
 }
@@ -224,10 +256,18 @@ func Finish(acc *wj.Acc, diag *TipDiag, q *query.Query, red *ctj.Reduced, prodD,
 // the driving loops (budgets, intervals, cancellation) live in internal/exec.
 func (r *Runner) Walks() int64 { return r.acc.N }
 
-// Snapshot returns the current estimates with 0.95 confidence intervals.
-func (r *Runner) Snapshot() wj.Result { return r.acc.Snapshot(stats.Z95) }
+// Snapshot returns the current estimates with 0.95 confidence intervals —
+// or, once the runner is Exact, the exact answer with zero-width intervals.
+func (r *Runner) Snapshot() wj.Result {
+	if r.Exact() {
+		return r.acc.Exact(r.fin.values)
+	}
+	return r.acc.Snapshot(stats.Z95)
+}
 
-// Acc exposes the walk accumulator.
+// Acc exposes the walk accumulator. It stays a plain sample of Walks() seeded
+// walks whether or not the runner is Exact, so it merges with other runners'
+// accumulators as before.
 func (r *Runner) Acc() *wj.Acc { return r.acc }
 
 // Tipped returns the number of walks terminated by the tipping point.

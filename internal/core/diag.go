@@ -16,6 +16,14 @@ type TipDiag struct {
 	// both sides were positive (q-error is undefined when a side is 0).
 	SumQError float64 `json:"sum_q_error"`
 	QObs      int64   `json:"q_obs"`
+	// Finite-population finish outcomes (see exact.go), one count per runner
+	// at most: answered exactly by its own root sweep, from a distinct plan's
+	// materialized table, or from a result an earlier runner published in
+	// the shared cache; and sweeps given up at a root that would not tip.
+	ExactSweep     int64 `json:"exact_sweep,omitempty"`
+	ExactTable     int64 `json:"exact_table,omitempty"`
+	ExactPublished int64 `json:"exact_published,omitempty"`
+	SweepAbandoned int64 `json:"sweep_abandoned,omitempty"`
 }
 
 // Observe records one tipping decision.
@@ -40,6 +48,10 @@ func (d *TipDiag) Merge(o TipDiag) {
 	d.SumActual += o.SumActual
 	d.SumQError += o.SumQError
 	d.QObs += o.QObs
+	d.ExactSweep += o.ExactSweep
+	d.ExactTable += o.ExactTable
+	d.ExactPublished += o.ExactPublished
+	d.SweepAbandoned += o.SweepAbandoned
 }
 
 // MeanQError returns the mean q-error over observed decisions, 0 when none.

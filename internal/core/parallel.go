@@ -164,7 +164,7 @@ func RunParallelStats(ctx context.Context, store *index.Store, pl *query.Plan, o
 	for w := 0; w < workers; w++ {
 		o := opts
 		o.Seed = WorkerSeed(opts.Seed, w)
-		runners[w] = New(store, pl, o)
+		runners[w] = newSampler(store, pl, o)
 
 		wopts := xopts
 		wopts.OnSnapshot = nil

@@ -8,6 +8,7 @@ import (
 
 	"kgexplore/internal/exec"
 	"kgexplore/internal/lftj"
+	"kgexplore/internal/stats"
 	"kgexplore/internal/wj"
 )
 
@@ -39,7 +40,7 @@ func TestRunParallelSingleWorkerMatchesSerial(t *testing.T) {
 	}
 	serial := New(st, pl, Options{Threshold: DefaultThreshold, Seed: 5})
 	exec.RunN(serial, 5000)
-	want := serial.Snapshot()
+	want := serial.Acc().Snapshot(stats.Z95) // the sample: the serial runner itself turns exact
 	for a, v := range want.Estimates {
 		if res.Estimates[a] != v {
 			t.Errorf("group %d: parallel %v vs serial %v", a, res.Estimates[a], v)

@@ -9,6 +9,7 @@ import (
 	"kgexplore/internal/index"
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
+	"kgexplore/internal/stats"
 	"kgexplore/internal/testkit"
 )
 
@@ -119,7 +120,9 @@ func TestReducedFinisherMatchesRaw(t *testing.T) {
 				for i := 0; i < 5000; i++ {
 					rawStep(ref)
 				}
-				gs, rs := got.Snapshot(), ref.Snapshot()
+				// The samples: got also runs the finite-population finish
+				// and may be exact by now, which is not what is compared.
+				gs, rs := got.Acc().Snapshot(stats.Z95), ref.Acc().Snapshot(stats.Z95)
 				if gs.Walks != rs.Walks || gs.Rejected != rs.Rejected || len(gs.Estimates) != len(rs.Estimates) {
 					t.Fatalf("%s shared=%v thr=%v: walks/rejected/groups %d/%d/%d vs raw %d/%d/%d", tc.name, shared, thr,
 						gs.Walks, gs.Rejected, len(gs.Estimates), rs.Walks, rs.Rejected, len(rs.Estimates))

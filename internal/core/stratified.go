@@ -107,7 +107,7 @@ func NewStratified(store *index.Store, pl *query.Plan, opts StratifiedOptions) *
 	}
 	if s.fallback != "" {
 		base.Root = nil
-		r := New(store, pl, base)
+		r := newSampler(store, pl, base)
 		s.runners = []*Runner{r}
 		s.accs = []*wj.Acc{r.Acc()}
 		return s
@@ -119,7 +119,7 @@ func NewStratified(store *index.Store, pl *query.Plan, opts StratifiedOptions) *
 		o := base
 		o.Root = &s.strata[k]
 		o.Seed = WorkerSeed(opts.Seed, k)
-		s.runners[k] = New(store, pl, o)
+		s.runners[k] = newSampler(store, pl, o)
 		s.accs[k] = s.runners[k].Acc()
 		sizes[k] = float64(s.strata[k].Total)
 	}

@@ -193,14 +193,15 @@ func TestStratifiedDistinctFallback(t *testing.T) {
 	if rel := math.Abs(got-exact) / exact; rel > 0.1 {
 		t.Fatalf("distinct fallback estimate %.2f, exact %.2f", got, exact)
 	}
-	// The fallback snapshot must equal a plain uniform runner's (same seed,
-	// same walk count) — the stepper contract does not change shape.
+	// The fallback snapshot must equal a plain uniform runner's sample (same
+	// seed, same walk count) — the stepper contract does not change shape.
+	// The plain runner itself reads the exact answer off its distinct table.
 	u := New(st, pl, Options{Threshold: DefaultThreshold, Seed: 3,
 		Shared: s.SharedCache()})
 	for i := 0; i < 4000; i++ {
 		u.Step()
 	}
-	ur := u.Snapshot()
+	ur := u.Acc().Snapshot(stats.Z95)
 	if math.Abs(ur.Estimates[GlobalGroup]-got) > 1e-9 {
 		t.Fatalf("fallback estimate %.4f differs from plain runner %.4f", got, ur.Estimates[GlobalGroup])
 	}

@@ -83,10 +83,12 @@ type Evaluator struct {
 	// map path, which the [2]rdf.ID struct key does not.
 	probCache map[uint64]float64
 
-	// probsMaterialized: probCache holds every reachable pair already.
+	// probsMaterialized: probCache holds every reachable pair already, and
+	// distinct the exact COUNT(DISTINCT) answer built in the same pass.
 	// probDecided: the materialize-or-lazy decision has been made.
 	probsMaterialized bool
 	probDecided       bool
+	distinct          map[rdf.ID]float64
 
 	// shared, when non-nil, replaces the private maps above with the
 	// concurrency-safe SharedCache: all cache reads and writes route through

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"kgexplore/internal/query"
+	"kgexplore/internal/rdf"
 )
 
 // SharedCache is a concurrency-safe CTJ cache shared by several Evaluators
@@ -31,12 +32,17 @@ type SharedCache struct {
 	agg   [numShards]shard[ckey, *aggEntry]
 	prob  [numShards]shard[uint64, float64]
 
-	// probMat, once non-nil, holds every reachable Pr(b) and Pr(a,b); readers
-	// check it before the lazy prob shards. probMu serializes the
-	// materialize-or-lazy decision (probDecided) across workers.
+	// probMat, once non-nil, holds every reachable Pr(b) and Pr(a,b) and the
+	// exact COUNT(DISTINCT) answer; readers check it before the lazy prob
+	// shards. probMu serializes the materialize-or-lazy decision
+	// (probDecided) across workers.
 	probMu      sync.Mutex
 	probDecided bool
-	probMat     atomic.Pointer[map[uint64]float64]
+	probMat     atomic.Pointer[probTable]
+
+	// whole, once non-nil, is the plan's finite-population verdict; see
+	// Whole.
+	whole atomic.Pointer[Whole]
 
 	// sig is the plan signature the cache is bound to ("" until first Bind).
 	sigMu sync.Mutex
@@ -69,6 +75,22 @@ func (c *SharedCache) Bind(pl *query.Plan) {
 		panic("ctj: SharedCache bound to a different plan signature: " + sig + " vs " + c.sig)
 	}
 }
+
+// Whole is a plan's finite-population verdict, published at most once per
+// cache by the first Audit Join runner to reach one: the exact whole-query
+// answer of a finished root sweep, or — Values nil — the finding that the
+// root span cannot be swept because some root does not tip. Later runners on
+// the cache adopt it instead of redoing the work. Values is read-only.
+type Whole struct {
+	Values map[rdf.ID]float64
+}
+
+// Whole returns the published verdict, nil while there is none.
+func (c *SharedCache) Whole() *Whole { return c.whole.Load() }
+
+// PublishWhole publishes w unless a verdict is already there: racing sweeps
+// reach the same answer, so the first writer wins.
+func (c *SharedCache) PublishWhole(w *Whole) { c.whole.CompareAndSwap(nil, w) }
 
 // Stats returns the merged cache statistics across every evaluator that used
 // the cache (each evaluator additionally keeps its own per-worker Stats).
@@ -213,13 +235,14 @@ func (e *Evaluator) sharedSuffixAgg(k ckey, i int, b query.Bindings) *aggEntry {
 // map when published, else the lazy single-flight shards (computing via
 // compute on a claim). Mirrors the private path's stats discipline: the
 // evaluator that materializes records a single ProbMiss for the one-pass
-// enumeration (see materializeProbs); reads after publication count as hits.
+// enumeration (see maybeMaterializeProbs); reads after publication count as
+// hits.
 func (e *Evaluator) sharedProb(key uint64, compute func() float64) float64 {
 	sc := e.shared
-	if m := sc.probMat.Load(); m != nil {
+	if t := sc.probMat.Load(); t != nil {
 		e.stats.ProbHits++
 		sc.stats.probHits.Add(1)
-		return (*m)[key]
+		return t.probs[key]
 	}
 	sh := &sc.prob[shardIdx(mix64(key))]
 	ent, existed := sh.lookupOrClaim(key)
@@ -232,7 +255,7 @@ func (e *Evaluator) sharedProb(key uint64, compute func() float64) float64 {
 	if e.sharedMaybeMaterialize() {
 		// Publish the claimed entry from the materialized map so concurrent
 		// waiters that raced past the probMat check still unblock.
-		ent.val = (*sc.probMat.Load())[key]
+		ent.val = sc.probMat.Load().probs[key]
 		close(ent.done)
 		return ent.val
 	}
@@ -258,16 +281,16 @@ func (e *Evaluator) sharedMaybeMaterialize() bool {
 		return false
 	}
 	sc.probDecided = true
-	if e.estimator().JoinSize(e.pl).Value > probMaterializeLimit {
+	size := e.estimator().JoinSize(e.pl).Value
+	if size > probMaterializeLimit {
 		return false
 	}
-	m := make(map[uint64]float64)
-	e.materializeProbsInto(m)
-	sc.probMat.Store(&m)
+	sc.probMat.Store(e.materializeProbs(size))
 	// One ProbMiss for the whole pass, charged to the worker that ran it —
-	// the same accounting as the private materializeProbs. Across a shared
-	// run the merged counter therefore shows exactly one materialization,
-	// where private per-worker caches would show one per worker.
+	// the same accounting as the private maybeMaterializeProbs. Across a
+	// shared run the merged counter therefore shows exactly one
+	// materialization, where private per-worker caches would show one per
+	// worker.
 	e.stats.ProbMisses++
 	sc.stats.probMisses.Add(1)
 	sc.stats.probMaterialized.Store(true)

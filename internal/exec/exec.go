@@ -31,6 +31,14 @@ type Stepper interface {
 	Snapshot() wj.Result
 }
 
+// exacter is the optional capability of a stepper whose answer can become
+// exact (core.Runner's finite-population finish): once Exact reports true,
+// Snapshot is the answer and further walks cannot improve it, so Drive ends
+// the run there.
+type exacter interface {
+	Exact() bool
+}
+
 // DefaultBatch is the number of walks performed between clock and context
 // checks when Options.Batch is zero.
 const DefaultBatch = 256
@@ -53,9 +61,10 @@ type Options struct {
 	Batch int
 	// OnSnapshot, when non-nil, receives a progressive snapshot at each
 	// interval and always exactly one final snapshot (Final=true), last, on
-	// normal completion. Walk counts strictly increase from one progressive
-	// snapshot to the next; the final one repeats the last count in the rare
-	// run whose budget ran out while that snapshot was being delivered.
+	// normal completion — early, when the stepper turns exact. Walk counts
+	// strictly increase from one progressive snapshot to the next; the final
+	// one repeats the last count in the rare run whose budget ran out while
+	// that snapshot was being delivered.
 	// Returning false stops the drive early (with a nil error). The callback
 	// runs on the driving goroutine.
 	OnSnapshot func(Progress) bool
@@ -90,9 +99,9 @@ type Report struct {
 }
 
 // Drive runs the stepper until the budget elapses, MaxWalks is reached, the
-// context is done, or OnSnapshot asks to stop. It returns ctx.Err() when the
-// context ended the run and nil otherwise; in both cases the Report carries a
-// consistent final snapshot.
+// stepper's answer is exact, the context is done, or OnSnapshot asks to stop.
+// It returns ctx.Err() when the context ended the run and nil otherwise; in
+// both cases the Report carries a consistent final snapshot.
 func Drive(ctx context.Context, s Stepper, opts Options) (Report, error) {
 	batch := opts.Batch
 	if batch <= 0 {
@@ -129,11 +138,13 @@ func Drive(ctx context.Context, s Stepper, opts Options) (Report, error) {
 			Final:    final,
 		})
 	}
-	// ended reports that the run is over at time now: the budget elapsed or
-	// the walk cap was reached.
+	ex, _ := s.(exacter)
+	// ended reports that the run is over at time now: the budget elapsed,
+	// the walk cap was reached, or there is nothing left to estimate.
 	ended := func(now time.Time) bool {
 		return (!deadline.IsZero() && !now.Before(deadline)) ||
-			(opts.MaxWalks > 0 && s.Walks()-startWalks >= opts.MaxWalks)
+			(opts.MaxWalks > 0 && s.Walks()-startWalks >= opts.MaxWalks) ||
+			(ex != nil && ex.Exact())
 	}
 
 	for {

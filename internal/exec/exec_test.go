@@ -261,3 +261,49 @@ func TestRunN(t *testing.T) {
 		t.Errorf("RunN performed %d steps", f.n)
 	}
 }
+
+// exactAfter is a stepper whose answer turns exact after a fixed number of
+// steps, like core.Runner's finite-population finish.
+type exactAfter struct {
+	fakeStepper
+	at int64
+}
+
+func (e *exactAfter) Exact() bool { return e.n >= e.at }
+func (e *exactAfter) Snapshot() wj.Result {
+	s := e.fakeStepper.Snapshot()
+	s.Exact = e.Exact()
+	return s
+}
+
+// TestDriveEndsExactStepperEarly: Drive stops within one batch of the stepper
+// turning exact, whatever budget or cap remains, and delivers exactly one
+// Final snapshot — never an exact one that is not final.
+func TestDriveEndsExactStepperEarly(t *testing.T) {
+	for _, xo := range []Options{
+		{Budget: time.Minute, Interval: time.Nanosecond, Batch: 64},
+		{MaxWalks: 1 << 30, Batch: 64},
+		{Batch: 64},
+	} {
+		e := &exactAfter{at: 300}
+		var finals, exactNonFinal int
+		xo.OnSnapshot = func(p Progress) bool {
+			if p.Final {
+				finals++
+			} else if p.Snapshot.Exact {
+				exactNonFinal++
+			}
+			return true
+		}
+		rep, err := Drive(context.Background(), e, xo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Walks < 300 || rep.Walks >= 300+64 {
+			t.Errorf("%+v: %d walks, want the batch that crossed 300", xo, rep.Walks)
+		}
+		if !rep.Final.Exact || finals != 1 || exactNonFinal != 0 {
+			t.Errorf("%+v: final exact=%v, %d final events, %d exact non-final events", xo, rep.Final.Exact, finals, exactNonFinal)
+		}
+	}
+}

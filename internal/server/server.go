@@ -633,28 +633,41 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // TipDiagBody is the JSON form of the tipping diagnostics: how many walks
 // tipped, and how the oracle's suffix estimates compared with the exact
 // suffix sizes CTJ computed at those decisions.
+//
+// The Exact* counters report the finite-population finish: runs answered
+// exactly by their own root sweep, from a distinct plan's materialized table,
+// or from a result an earlier run published in the warm cache; and sweeps
+// abandoned at a root that would not tip.
 type TipDiagBody struct {
-	Tips        int64   `json:"tips"`
-	MeanQError  float64 `json:"meanQError,omitempty"`
-	SumEstimate float64 `json:"sumEstimate"`
-	SumActual   float64 `json:"sumActual"`
+	Tips            int64   `json:"tips"`
+	MeanQError      float64 `json:"meanQError,omitempty"`
+	SumEstimate     float64 `json:"sumEstimate"`
+	SumActual       float64 `json:"sumActual"`
+	ExactSweep      int64   `json:"exactSweep,omitempty"`
+	ExactTable      int64   `json:"exactTable,omitempty"`
+	ExactPublished  int64   `json:"exactPublished,omitempty"`
+	SweepsAbandoned int64   `json:"sweepsAbandoned,omitempty"`
 }
 
 func tipBody(d kgexplore.TipDiagnostics) *TipDiagBody {
-	if d.Tips == 0 {
+	if d == (kgexplore.TipDiagnostics{}) {
 		return nil
 	}
 	return &TipDiagBody{
-		Tips:        d.Tips,
-		MeanQError:  d.MeanQError(),
-		SumEstimate: d.SumEstimate,
-		SumActual:   d.SumActual,
+		Tips:            d.Tips,
+		MeanQError:      d.MeanQError(),
+		SumEstimate:     d.SumEstimate,
+		SumActual:       d.SumActual,
+		ExactSweep:      d.ExactSweep,
+		ExactTable:      d.ExactTable,
+		ExactPublished:  d.ExactPublished,
+		SweepsAbandoned: d.SweepAbandoned,
 	}
 }
 
 // observeTips folds one run's tipping diagnostics into the /healthz totals.
 func (s *Server) observeTips(d kgexplore.TipDiagnostics) {
-	if d.Tips == 0 {
+	if d == (kgexplore.TipDiagnostics{}) {
 		return
 	}
 	s.mu.Lock()
@@ -943,6 +956,11 @@ type ChartResponse struct {
 	// StepCard[i] that pattern's estimated cardinality.
 	WalkOrder []int     `json:"walkOrder,omitempty"`
 	StepCard  []float64 `json:"stepCard,omitempty"`
+	// Exact marks an online answer that Audit Join finished exactly inside
+	// its budget (every ci is then 0 and the run ended early); ExactBy says
+	// how: "sweep", "table" or "published" (final responses only).
+	Exact   bool   `json:"exact,omitempty"`
+	ExactBy string `json:"exactBy,omitempty"`
 }
 
 // LiveChartBody is the per-request overlay telemetry of a live epoch.
@@ -1090,10 +1108,7 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {
 	resp := chartResponse(e, req.Op, engineName(req.Engine), counts, ci, req.TopN)
 	resp.Millis = time.Since(start).Milliseconds()
 	resp.Strategy = s.strategyName()
-	resp.Cache = extras.cache
-	resp.Tips = extras.tips
-	resp.Dist = extras.dist
-	resp.Strat = extras.strat
+	extras.apply(&resp)
 	resp.WalkOrder, resp.StepCard = pl.Order, pl.StepCard
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1212,6 +1227,22 @@ type chartExtras struct {
 	tips  *TipDiagBody
 	dist  *DistChartBody
 	strat *kgexplore.StratifiedRunStats
+	// exactBy says how an Audit Join run ended exact; "" when it did not.
+	exactBy string
+}
+
+// apply attaches the telemetry to a final response.
+func (x chartExtras) apply(resp *ChartResponse) {
+	resp.Cache, resp.Tips, resp.Dist, resp.Strat = x.cache, x.tips, x.dist, x.strat
+	resp.Exact, resp.ExactBy = x.exactBy != "", x.exactBy
+}
+
+// exactByOf names how a quiescent runner became exact ("" when it did not).
+func exactByOf(r kgexplore.Stepper) string {
+	if aj, ok := r.(*kgexplore.AuditJoin); ok {
+		return aj.ExactSource().String()
+	}
+	return ""
 }
 
 func (s *Server) evaluate(ctx context.Context, e *epoch, pl *kgexplore.Plan, engine string, budgetMS int) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, chartExtras, error) {
@@ -1244,8 +1275,9 @@ func (s *Server) evaluate(ctx context.Context, e *epoch, pl *kgexplore.Plan, eng
 	if err != nil {
 		return nil, nil, chartExtras{}, err
 	}
-	return rep.Final.Estimates, rep.Final.CI,
-		chartExtras{cache: cacheStatsOf(r), tips: s.tipStatsOf(r), strat: stratStatsOf(r)}, nil
+	return rep.Final.Estimates, rep.Final.CI, chartExtras{
+		cache: cacheStatsOf(r), tips: s.tipStatsOf(r), strat: stratStatsOf(r), exactBy: exactByOf(r),
+	}, nil
 }
 
 // stratStatsOf extracts the stratification telemetry from a stratified
@@ -1507,8 +1539,9 @@ func (s *Server) evaluateUnion(ctx context.Context, e *epoch, u *kgexplore.Union
 
 // streamChart answers a `?stream=1` chart request with Server-Sent Events:
 // one ChartResponse per snapshot interval, each strictly further along than
-// the last, and always exactly one Final event, last, when the budget elapses. Closing the
-// connection cancels the run through the request context.
+// the last, and always exactly one Final event, last, when the budget elapses
+// or the answer turns exact. Closing the connection cancels the run through
+// the request context.
 func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, op string, pl *kgexplore.Plan, req ChartRequest) {
 	engine := engineName(req.Engine)
 	var runner kgexplore.Stepper
@@ -1568,6 +1601,7 @@ func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, o
 		resp.Millis = p.Elapsed.Milliseconds()
 		resp.Walks = p.Walks
 		resp.Final = p.Final
+		resp.Exact = p.Snapshot.Exact
 		resp.Strategy = s.strategyName()
 		if p.Final && runner != nil {
 			// The callback runs on the driving goroutine between walks, so
@@ -1575,6 +1609,7 @@ func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, o
 			resp.Cache = cacheStatsOf(runner)
 			resp.Tips = s.tipStatsOf(runner)
 			resp.Strat = stratStatsOf(runner)
+			resp.ExactBy = exactByOf(runner)
 		}
 		if p.Final {
 			resp.WalkOrder, resp.StepCard = pl.Order, pl.StepCard
@@ -1715,10 +1750,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	resp := chartResponse(e, "sparql", engineName(req.Engine), counts, ci, req.TopN)
 	resp.Millis = time.Since(start).Milliseconds()
 	resp.Strategy = s.strategyName()
-	resp.Cache = extras.cache
-	resp.Tips = extras.tips
-	resp.Dist = extras.dist
-	resp.Strat = extras.strat
+	extras.apply(&resp)
 	if pl != nil {
 		resp.WalkOrder, resp.StepCard = pl.Order, pl.StepCard
 	}
@@ -1767,7 +1799,7 @@ function render(s){sid=s.session;
  back.onclick=async()=>{render(await j('/api/session/'+sid+'/back',{}))};ops.appendChild(back)}
 async function chart(op){lastOp=op;
  const c=await j('/api/session/'+sid+'/chart',{op:op,topN:25});
- const div=document.getElementById('chart');div.innerHTML='<p>'+c.numBars+' bars ('+c.engine+', '+c.millis+'ms)</p>';
+ const div=document.getElementById('chart');div.innerHTML='<p>'+c.numBars+' bars ('+c.engine+(c.exact?', exact':'')+', '+c.millis+'ms)</p>';
  const max=Math.max(...c.bars.map(b=>b.count),1);
  for(const b of c.bars){const row=document.createElement('div');row.className='bar';
   row.innerHTML='<span class="label">'+b.category+'</span><span class="fill" style="width:'+(300*b.count/max)+'px"></span><span class="n">'+Math.round(b.count)+(b.ci?' ±'+b.ci.toFixed(1):'')+'</span>';

@@ -127,7 +127,7 @@ func TestStreamChartDisconnectCancelsRun(t *testing.T) {
 	post(t, ts.URL+"/api/session", struct{}{}, &st)
 
 	resp := postStream(t, ts.URL+"/api/session/"+st.Session+"/chart?stream=1",
-		ChartRequest{Op: "subclass", Engine: "aj", BudgetMS: 20000, IntervalMS: 10})
+		ChartRequest{Op: "subclass", Engine: "wj", BudgetMS: 20000, IntervalMS: 10}) // wj never turns exact, so the stream lasts
 	if events := readEvents(t, resp, 2); len(events) < 2 {
 		t.Fatalf("got %d events before disconnect", len(events))
 	}

@@ -211,6 +211,10 @@ type Result struct {
 	Walks     int64
 	Rejected  int64
 	Dedup     int64
+	// Exact marks a result whose Estimates are the exact answer, not an
+	// estimate: every CI is then zero. Audit Join sets it once it has
+	// finished the whole query exactly (core.Runner).
+	Exact bool
 }
 
 // RejectionRate returns the fraction of walks that hit a dead end.
@@ -246,6 +250,25 @@ func (c *Acc) Snapshot(z float64) Result {
 		}
 		r.Estimates[a] = s / float64(c.N)
 		r.CI[a] = stats.CIHalfWidth(s, c.SumSq[a], c.N, z)
+	}
+	return r
+}
+
+// Exact returns the snapshot of a run that knows its answer exactly: the
+// given per-group values with zero-width intervals, beside the walk counts of
+// the sample that preceded the finding.
+func (c *Acc) Exact(values map[rdf.ID]float64) Result {
+	r := Result{
+		Estimates: make(map[rdf.ID]float64, len(values)),
+		CI:        make(map[rdf.ID]float64, len(values)),
+		Walks:     c.N,
+		Rejected:  c.Rejected,
+		Dedup:     c.Dedup,
+		Exact:     true,
+	}
+	for a, v := range values {
+		r.Estimates[a] = v
+		r.CI[a] = 0
 	}
 	return r
 }

@@ -621,8 +621,7 @@ func (d *Dataset) AutoUnionCtx(ctx context.Context, up *UnionPlan, budget time.D
 		return AutoResult{}, err
 	}
 	rep, err := exec.Drive(ctx, u, exec.Options{Budget: budget, Batch: 128})
-	snap := rep.Final
-	return AutoResult{Counts: snap.Estimates, CI: snap.CI, Walks: snap.Walks}, err
+	return autoOnline(rep.Final), err
 }
 
 // AutoResult is what Auto returns: the per-group counts, whether they are
@@ -630,8 +629,21 @@ func (d *Dataset) AutoUnionCtx(ctx context.Context, up *UnionPlan, budget time.D
 type AutoResult struct {
 	Counts map[ID]float64
 	CI     map[ID]float64 // nil when exact
-	Exact  bool
-	Walks  int64 // walks performed when estimated
+	// Exact is true when CTJ answered, and when the online branch finished
+	// the query exactly inside its budget (Walks then says how many walks
+	// that took).
+	Exact bool
+	Walks int64 // walks performed by the online branch
+}
+
+// autoOnline renders the online branch's final snapshot as an AutoResult: an
+// estimate with its CI map, or — when the estimator ended exact — the exact
+// answer with none.
+func autoOnline(snap EstimateResult) AutoResult {
+	if snap.Exact {
+		return AutoResult{Counts: snap.Estimates, Exact: true, Walks: snap.Walks}
+	}
+	return AutoResult{Counts: snap.Estimates, CI: snap.CI, Walks: snap.Walks}
 }
 
 // AutoExactLimit is the estimated join size below which Auto answers
@@ -660,8 +672,7 @@ func (d *Dataset) AutoCtx(ctx context.Context, pl *Plan, budget time.Duration, s
 	}
 	r := d.NewAuditJoin(pl, AuditJoinOptions{Threshold: core.DefaultThreshold, Seed: seed})
 	rep, err := exec.Drive(ctx, r, exec.Options{Budget: budget, Batch: 128})
-	snap := rep.Final
-	return AutoResult{Counts: snap.Estimates, CI: snap.CI, Walks: snap.Walks}, err
+	return autoOnline(rep.Final), err
 }
 
 // NewWanderJoin creates a Wander Join estimator for the plan, walked in the
